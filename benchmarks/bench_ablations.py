@@ -64,7 +64,7 @@ def test_a3_blocking(benchmark, full_blocking):
     instance = build(A3_NAME, "quick")
 
     def enumerate_cell():
-        return bsat(instance.cnf, 20, rng=3, block_full_support=full_blocking)
+        return bsat(instance.cnf, 20, block_full_support=full_blocking)
 
     result = benchmark.pedantic(enumerate_cell, rounds=3, iterations=1)
     assert len(result.models) == 20

@@ -55,8 +55,8 @@ class SamplerConfig:
         Opt-in incremental CDCL sessions: one solver carried across all
         BSAT calls of a window sweep, each cell's hash rows entering as a
         releasable XOR group.  Composes with ``matrix_reuse`` (pre-reduced
-        prefix rows become the groups).  Off by default for the same
-        stream-pinning reason as ``matrix_reuse``.
+        prefix rows become the groups).  It changes no RNG consumption:
+        fixed-seed streams equal those of fresh solving.
 
     Baselines
     ---------

@@ -283,9 +283,7 @@ def _run_bsat_sweep(params: dict) -> dict:
         start = time.perf_counter()
         for sweep in sweeps_xors:
             session = (
-                SolverSession(cnf, rng=RandomSource(int(params["seed"])))
-                if mode == "reuse"
-                else None
+                SolverSession(cnf) if mode == "reuse" else None
             )
             for constraint in sweep:
                 if session is not None:
@@ -297,7 +295,6 @@ def _run_bsat_sweep(params: dict) -> dict:
                         cnf.conjoined_with(xors=constraint.xors),
                         bound,
                         sampling_set=svars,
-                        rng=RandomSource(int(params["seed"])),
                     )
                 cells += 1
                 models += len(cell.models)
@@ -379,7 +376,7 @@ def _solver_micro_case(case: str, seed: int) -> tuple[Callable[[], int], str]:
         gauss = case == "hashed-gauss"
 
         def thunk() -> int:
-            result = bsat(cnf, 25, rng=seed, gauss=gauss)
+            result = bsat(cnf, 25, gauss=gauss)
             assert len(result.models) > 0
             return len(result.models)
 
@@ -387,7 +384,7 @@ def _solver_micro_case(case: str, seed: int) -> tuple[Callable[[], int], str]:
         cnf = suite_build("s1238a_7_4", "quick").cnf
 
         def thunk() -> int:
-            result = bsat(cnf, 30, rng=seed)
+            result = bsat(cnf, 30)
             assert len(result.models) == 30
             return len(result.models)
 

@@ -40,9 +40,9 @@ sweep: each cell's hash rows enter as a releasable XOR group, so learnt
 clauses / VSIDS activity / saved phases over the base formula carry from
 cell to cell instead of cold-starting.  It composes with either search
 mode — under ``matrix_reuse`` the pre-reduced prefix rows become the
-incremental groups.  Like matrix reuse it changes RNG consumption versus
-fresh mode, so it is off by default; with a fixed root seed its streams
-are still byte-deterministic and jobs-invariant.
+incremental groups.  BSAT draws nothing from the sampler's random stream
+and returns each cell in canonical order, so solver reuse changes no RNG
+consumption: its fixed-seed streams equal those of fresh solving.
 """
 
 from __future__ import annotations
@@ -146,7 +146,6 @@ class CellSearch:
                     hashed,
                     self._hi + 1,
                     sampling_set=self._svars,
-                    rng=self._rng,
                     budget=self._budget,
                 )
             self._stats.bsat_calls += 1
@@ -191,7 +190,7 @@ class CellSearch:
 
     def _make_session(self) -> SolverSession:
         """A fresh per-sweep solver session over the base formula."""
-        return SolverSession(self._cnf, rng=self._rng)
+        return SolverSession(self._cnf)
 
     # -- matrix-reuse (prefix-consistent, incremental) mode -------------
     def _base_state(self) -> BitMatrix:
@@ -289,7 +288,6 @@ class CellSearch:
                 hashed,
                 self._hi + 1,
                 sampling_set=self._svars,
-                rng=self._rng,
                 budget=self._budget,
                 gauss=False,
             )

@@ -112,7 +112,6 @@ class PawsStyle(WitnessSampler):
             hashed,
             self.bucket + 1,
             sampling_set=self._hvars,
-            rng=self._rng,
             budget=self._bsat_budget,
         )
         self.stats.bsat_calls += 1

@@ -133,8 +133,8 @@ class UniGen(WitnessSampler):
         # streams byte-identical to the paper's per-i protocol.
         self._matrix_reuse = matrix_reuse
         self._gf2_backend = gf2_backend
-        # Opt-in incremental CDCL sessions (see CellSearch): same pinning
-        # rationale as matrix_reuse.
+        # Opt-in incremental CDCL sessions (see CellSearch); the stream
+        # equals fresh solving's.
         self._solver_reuse = solver_reuse
         self._approxmc_iterations = approxmc_iterations
         self._approxmc_search = approxmc_search
@@ -243,7 +243,6 @@ class UniGen(WitnessSampler):
             self.cnf,
             hi + 1,
             sampling_set=self._svars,
-            rng=self._rng,
             budget=self._bsat_budget,
         )
         self.stats.bsat_calls += 1

@@ -79,7 +79,6 @@ class UniWit(WitnessSampler):
             self.cnf,
             pivot + 1,
             sampling_set=self._hvars,  # blocking over the full set
-            rng=self._rng,
             budget=self._bsat_budget,
         )
         self.stats.bsat_calls += 1
@@ -106,7 +105,6 @@ class UniWit(WitnessSampler):
                     hashed,
                     pivot + 1,
                     sampling_set=self._hvars,
-                    rng=self._rng,
                     budget=self._bsat_budget,
                 )
                 self.stats.bsat_calls += 1

@@ -73,7 +73,7 @@ class EnumerativeUniformSampler(WitnessSampler):
         self.cnf = cnf
         self._rng = as_random_source(rng)
         self._witnesses = enumerate_all(
-            cnf, sampling_set=sampling_set, limit=limit, rng=self._rng
+            cnf, sampling_set=sampling_set, limit=limit
         )
         if not self._witnesses:
             raise UnsatisfiableError("formula has no witnesses")

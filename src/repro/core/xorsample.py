@@ -65,7 +65,6 @@ class XorSamplePrime(WitnessSampler):
             hashed,
             self.max_cell + 1,
             sampling_set=self._hvars,
-            rng=self._rng,
             budget=self._bsat_budget,
         )
         self.stats.bsat_calls += 1

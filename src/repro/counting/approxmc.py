@@ -123,7 +123,6 @@ class ApproxMC:
             self.cnf,
             self.pivot + 1,
             sampling_set=self._svars,
-            rng=self._rng,
             budget=self._budget,
         )
         if first.complete and len(first) <= self.pivot:
@@ -158,7 +157,6 @@ class ApproxMC:
             hashed,
             self.pivot + 1,
             sampling_set=self._svars,
-            rng=self._rng,
             budget=self._budget,
         )
         if cell.budget_exhausted:

@@ -126,10 +126,11 @@ def ablation_blocking(
     benchmark: str = "squaring7",
     scale: str = "quick",
     bound: int = 30,
-    rng: RandomSource | int | None = 1,
 ) -> AblationResult:
-    """A3: BSAT blocking clauses restricted to S vs spanning X."""
-    rng = as_random_source(rng)
+    """A3: BSAT blocking clauses restricted to S vs spanning X.
+
+    Deterministic: BSAT draws no randomness, so A3 takes no seed.
+    """
     instance = build(benchmark, scale)
     result = AblationResult(
         title=f"A3 — blocking clause support in BSAT ({benchmark}, {scale})",
@@ -137,12 +138,7 @@ def ablation_blocking(
     )
     for label, full in (("block over S", False), ("block over X", True)):
         start = time.monotonic()
-        out = bsat(
-            instance.cnf,
-            bound,
-            rng=rng.spawn(),
-            block_full_support=full,
-        )
+        out = bsat(instance.cnf, bound, block_full_support=full)
         elapsed = time.monotonic() - start
         width = instance.num_vars if full else len(instance.sampling_set)
         result.rows.append([label, len(out.models), elapsed, width])
@@ -284,7 +280,7 @@ def run_all_ablations(
     return [
         ablation_support(scale=scale, rng=rng.spawn()),
         ablation_amortization(scale=scale, rng=rng.spawn()),
-        ablation_blocking(scale=scale, rng=rng.spawn()),
+        ablation_blocking(scale=scale),
         ablation_sparse(scale=scale, rng=rng.spawn()),
         ablation_baselines(scale=scale, rng=rng.spawn()),
     ]

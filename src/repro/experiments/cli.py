@@ -144,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="incremental CDCL sessions: one solver carried"
                         " across each window sweep's BSAT calls, hash rows"
                         " entering as releasable XOR groups; composes with"
-                        " --matrix-reuse; changes RNG consumption vs the"
-                        " paper's fresh-solver protocol")
+                        " --matrix-reuse; draws the same fixed-seed stream"
+                        " as fresh solving")
     p.add_argument("--gf2-backend", choices=("python", "numpy"), default=None,
                    help="GF(2) elimination kernel (default: "
                         "$REPRO_GF2_BACKEND, then numpy when installed)")

@@ -10,7 +10,16 @@ short when ``S`` is a small independent support.
 Callers that need to distinguish "the cell has exactly N witnesses" from
 "the cell has more than N" should request ``N + 1`` and inspect
 ``EnumerationResult.complete`` / the returned count, which is what UniGen
-does for its threshold tests.
+does for its threshold tests.  ``complete`` is True only when enumeration
+stopped *below* the bound, so a cell of exactly ``N`` witnesses enumerated
+with bound ``N`` always reports ``complete=False``.
+
+The result is independent of the solver's search: the solver is seeded
+from a fixed constant (it never draws from a sampler's random stream) and
+the models come back sorted by their values on ``S``.  A complete
+enumeration is therefore a pure function of the cell's witness set, which
+is what lets UniGen's fixed-seed streams survive any change to the solver
+or to fresh-vs-session solving.
 """
 
 from __future__ import annotations
@@ -20,10 +29,13 @@ from typing import Callable, Iterable, Sequence
 
 from ..cnf.formula import CNF
 from ..cnf.xor import XorClause
-from ..rng import RandomSource, as_random_source
 from .gauss import gaussian_eliminate, rows_as_xors
 from .solver import Solver
 from .types import SAT, UNKNOWN, UNSAT, Budget, EnumerationResult, SolverStats
+
+#: Seed of every enumeration solver's tie-breaking stream.  A constant, so
+#: the solver never consumes a sampler's random stream.
+_SOLVER_SEED = 0
 
 
 def gauss_reduce_xors(cnf: CNF) -> CNF | None:
@@ -54,7 +66,6 @@ def bsat(
     cnf: CNF,
     bound: int,
     sampling_set: Sequence[int] | None = None,
-    rng: RandomSource | int | None = None,
     budget: Budget | None = None,
     block_full_support: bool = False,
     gauss: bool = True,
@@ -70,8 +81,6 @@ def bsat(
     sampling_set:
         The set ``S``; defaults to ``cnf.sampling_set`` or, failing that, the
         full syntactic support.
-    rng:
-        Randomness for the underlying solver's tie-breaking.
     budget:
         Total budget for the whole enumeration: ``timeout_seconds`` is a
         wall-clock deadline for the entire BSAT call (the paper's 2,500 s
@@ -86,7 +95,6 @@ def bsat(
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    rng = as_random_source(rng)
     budget = budget or Budget()
     if sampling_set is None:
         svars: list[int] = list(cnf.sampling_set_or_support())
@@ -105,7 +113,7 @@ def bsat(
             result.solver = SolverStats()
             return result
         cnf = reduced
-    solver = Solver(cnf, rng=rng)
+    solver = Solver(cnf, rng=_SOLVER_SEED)
 
     def block(lits: list[int]) -> bool:
         solver.add_clause(lits)
@@ -130,7 +138,8 @@ def _enumerate(
     session mode adds a group-scoped clause.  Models are truncated to the
     first ``num_vars`` variables so session auxiliaries never leak into
     witnesses.  ``result.solver`` carries the solver-counter deltas this
-    call spent, whichever exit is taken.
+    call spent, whichever exit is taken, and ``result.models`` comes back
+    sorted by the models' values on ``svars`` (ascending, False < True).
     """
     deadline = (
         time.monotonic() + budget.timeout_seconds
@@ -141,7 +150,7 @@ def _enumerate(
     result = EnumerationResult()
     before = solver.stats.snapshot()
     try:
-        while len(result.models) < bound:
+        while True:
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0.0:
@@ -167,6 +176,10 @@ def _enumerate(
             assert res.status == SAT and res.model is not None
             model = {v: res.model[v] for v in range(1, num_vars + 1)}
             result.models.append(model)
+            if len(result.models) == bound:
+                # Stopped at the bound: whether a further witness exists
+                # is unknown, so the result is never complete here.
+                return result
             if not svars:
                 # Empty projection space: one point only.
                 result.complete = True
@@ -178,8 +191,8 @@ def _enumerate(
             if conflicts_left is not None and conflicts_left == 0:
                 result.budget_exhausted = True
                 return result
-        return result
     finally:
+        result.models.sort(key=lambda m: [m[v] for v in svars])
         result.solver = solver.stats.since(before)
 
 
@@ -204,12 +217,11 @@ class SolverSession:
     def __init__(
         self,
         cnf: CNF,
-        rng: RandomSource | int | None = None,
         budget: Budget | None = None,
     ):
         self._num_vars = cnf.num_vars
         self._default_svars: list[int] = list(cnf.sampling_set_or_support())
-        self._solver = Solver(cnf, rng=as_random_source(rng))
+        self._solver = Solver(cnf, rng=_SOLVER_SEED)
         self._next_tag = 0
         shared = budget or Budget()
         self._conflicts_left = shared.max_conflicts
@@ -310,7 +322,6 @@ def enumerate_all(
     cnf: CNF,
     sampling_set: Sequence[int] | None = None,
     limit: int = 1_000_000,
-    rng: RandomSource | int | None = None,
 ) -> list[dict[int, bool]]:
     """Enumerate *all* witnesses distinct on the sampling set.
 
@@ -318,7 +329,7 @@ def enumerate_all(
     this is a test/fixture helper, not a production counter (use
     :mod:`repro.counting` for that).
     """
-    result = bsat(cnf, limit + 1, sampling_set=sampling_set, rng=rng)
+    result = bsat(cnf, limit + 1, sampling_set=sampling_set)
     if not result.complete:
         raise RuntimeError(f"formula has more than {limit} witnesses")
     return result.models

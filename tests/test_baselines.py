@@ -118,6 +118,15 @@ class TestXorSamplePrime:
         sampler = XorSamplePrime(cnf, s=0, rng=4, max_cell=10)
         assert sampler.sample() is None
 
+    @pytest.mark.parametrize("size", [2, 5, 8, 13, 26, 64])
+    def test_cell_one_over_max_is_bot(self, size):
+        """A cell of exactly ``max_cell + 1`` witnesses overflows."""
+        cnf = instance(size, 8)
+        over = XorSamplePrime(cnf, s=0, rng=5, max_cell=size - 1)
+        assert over.sample() is None
+        fits = XorSamplePrime(cnf, s=0, rng=5, max_cell=size)
+        assert fits.sample() is not None
+
 
 class TestIdealUniformSampler:
     def test_count_matches_truth(self):

@@ -21,7 +21,7 @@ class TestCountersAgree:
         cnf.sampling_set = range(1, 10)
         brute = count_models(cnf)
         exact = ExactCounter(cnf).count()
-        enum = bsat(cnf, brute + 1, rng=seed)
+        enum = bsat(cnf, brute + 1)
         assert exact == brute
         assert enum.complete and len(enum.models) == brute
 
@@ -52,7 +52,7 @@ class TestSamplersAgreeOnUniverse:
         """On one benchmark: exact counter == enumeration == US count."""
         instance = build("s526_3_2", "quick")
         exact = ExactCounter(instance.cnf).count()
-        enum = bsat(instance.cnf, exact + 1, rng=2)
+        enum = bsat(instance.cnf, exact + 1)
         assert enum.complete and len(enum.models) == exact
         assert IdealUniformSampler(instance.cnf, rng=2).count == exact
 
@@ -68,7 +68,7 @@ class TestMixedXorConsistency:
                 cnf.add_xor(XorClause.from_vars(vs, bool(rng.bit())))
         cnf.sampling_set = range(1, 9)
         exact = ExactCounter(cnf).count()
-        enum = bsat(cnf, exact + 1, rng=seed)
+        enum = bsat(cnf, exact + 1)
         assert enum.complete and len(enum.models) == exact
 
 

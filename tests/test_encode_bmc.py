@@ -21,7 +21,7 @@ class TestCombinationalEncoding:
         xs = nl.inputs("x", 4)
         nl.outputs([nl.xor(*xs)])
         enc = encode_combinational(nl.circuit)
-        models = enumerate_all(enc.cnf, rng=0)
+        models = enumerate_all(enc.cnf)
         assert len(models) == 16
 
     def test_models_match_evaluation(self):
@@ -34,7 +34,7 @@ class TestCombinationalEncoding:
             pool.append(nl.gate(kind, rng.choice(pool), rng.choice(pool)))
         nl.outputs(pool[-2:])
         enc = encode_combinational(nl.circuit)
-        for model in enumerate_all(enc.cnf, rng=1)[:40]:
+        for model in enumerate_all(enc.cnf)[:40]:
             env = {x: model[enc.var_of[x]] for x in xs}
             values = nl.circuit.evaluate(env)
             for sig, var in enc.var_of.items():

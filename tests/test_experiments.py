@@ -205,7 +205,7 @@ class TestAblations:
     def test_blocking_ablation(self):
         from repro.experiments import ablation_blocking
 
-        result = ablation_blocking(benchmark="case121", bound=10, rng=5)
+        result = ablation_blocking(benchmark="case121", bound=10)
         assert len(result.rows) == 2
         # block-over-S row advertises a narrower clause width
         assert result.rows[0][3] < result.rows[1][3]

@@ -7,6 +7,13 @@ the paper implemented inside CryptoMiniSAT ("blocking clauses can be
 restricted to only variables in the set S"), which keeps blocking clauses
 short when ``S`` is a small independent support.
 
+Enumeration is incremental: the blocking clause is attached where the
+search stands, and the solver backtracks only to the clause's asserting
+level (the second-highest decision level among its literals, or one level
+below a tie of the two highest) before it looks for the next witness,
+instead of restarting from the root (:meth:`Solver.block_model`).  Each
+witness still costs exactly one ``solve()`` call.
+
 Callers that need to distinguish "the cell has exactly N witnesses" from
 "the cell has more than N" should request ``N + 1`` and inspect
 ``EnumerationResult.complete`` / the returned count, which is what UniGen
@@ -25,7 +32,7 @@ or to fresh-vs-session solving.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..cnf.formula import CNF
 from ..cnf.xor import XorClause
@@ -114,12 +121,7 @@ def bsat(
             return result
         cnf = reduced
     solver = Solver(cnf, rng=_SOLVER_SEED)
-
-    def block(lits: list[int]) -> bool:
-        solver.add_clause(lits)
-        return solver.ok
-
-    return _enumerate(solver, bound, svars, budget, cnf.num_vars, block=block)
+    return _enumerate(solver, bound, svars, budget, cnf.num_vars)
 
 
 def _enumerate(
@@ -128,18 +130,20 @@ def _enumerate(
     svars: Sequence[int],
     budget: Budget,
     num_vars: int,
-    assumptions: Sequence[int] = (),
-    block: Callable[[list[int]], bool] | None = None,
+    tag=None,
 ) -> EnumerationResult:
-    """The shared blocking-clause enumeration loop.
+    """The blocking-clause enumeration loop of both solving modes.
 
-    ``block`` installs one blocking clause and reports whether the formula
-    can still have witnesses; fresh-solver mode adds a plain root clause,
-    session mode adds a group-scoped clause.  Models are truncated to the
-    first ``num_vars`` variables so session auxiliaries never leak into
-    witnesses.  ``result.solver`` carries the solver-counter deltas this
-    call spent, whichever exit is taken, and ``result.models`` comes back
-    sorted by the models' values on ``svars`` (ascending, False < True).
+    Fresh-solver mode passes no ``tag``; session mode passes the tag of
+    the call's constraint group, so the search runs under the group's
+    assumptions and each blocking clause carries the group's guard
+    literal.  Either way :meth:`Solver.block_model` blocks a model at its
+    asserting level and the next ``solve()`` resumes from there.  Models
+    are cut to the first ``num_vars`` variables so session auxiliaries
+    never leak into witnesses.  ``result.solver`` carries the
+    solver-counter deltas this call spent, whichever exit is taken, and
+    ``result.models`` comes back sorted by the models' values on
+    ``svars`` (ascending, False < True).
     """
     deadline = (
         time.monotonic() + budget.timeout_seconds
@@ -147,6 +151,7 @@ def _enumerate(
         else None
     )
     conflicts_left = budget.max_conflicts
+    assumptions = solver.group_assumptions(tag) if tag is not None else ()
     result = EnumerationResult()
     before = solver.stats.snapshot()
     try:
@@ -164,7 +169,7 @@ def _enumerate(
                 max_conflicts=conflicts_left,
                 timeout_seconds=remaining,
             )
-            res = solver.solve(assumptions=assumptions, budget=call_budget)
+            res = solver.solve(assumptions, call_budget, model_vars=num_vars)
             if conflicts_left is not None:
                 conflicts_left = max(conflicts_left - res.conflicts, 0)
             if res.status == UNKNOWN:
@@ -174,8 +179,7 @@ def _enumerate(
                 result.complete = True
                 return result
             assert res.status == SAT and res.model is not None
-            model = {v: res.model[v] for v in range(1, num_vars + 1)}
-            result.models.append(model)
+            result.models.append(res.model)
             if len(result.models) == bound:
                 # Stopped at the bound: whether a further witness exists
                 # is unknown, so the result is never complete here.
@@ -184,8 +188,7 @@ def _enumerate(
                 # Empty projection space: one point only.
                 result.complete = True
                 return result
-            blocking = [-v if model[v] else v for v in svars]
-            if not block(blocking):
+            if not solver.block_model(svars, tag):
                 result.complete = True
                 return result
             if conflicts_left is not None and conflicts_left == 0:
@@ -278,21 +281,10 @@ class SolverSession:
         tag = self._next_tag
         self._next_tag += 1
         solver = self._solver
-        assumptions = solver.add_xor_group(rows, tag)
-
-        def block(lits: list[int]) -> bool:
-            solver.add_group_clause(tag, lits)
-            return solver.ok
-
+        solver.add_xor_group(rows, tag)
         try:
             result = _enumerate(
-                solver,
-                bound,
-                svars,
-                sliced,
-                self._num_vars,
-                assumptions=assumptions,
-                block=block,
+                solver, bound, svars, sliced, self._num_vars, tag=tag
             )
         finally:
             solver.release_group(tag)

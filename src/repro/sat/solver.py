@@ -14,7 +14,12 @@ This is the library's stand-in for CryptoMiniSAT, which the paper uses as the
 * first-UIP clause learning with VSIDS variable activities, phase saving,
   Luby restarts, and activity-driven learnt-clause database reduction;
 * solving under assumptions, and incremental top-level clause addition
-  between solve calls (used by ``BSAT`` to add blocking clauses);
+  between solve calls;
+* incremental model enumeration (:meth:`Solver.block_model`): after a
+  model, the clause blocking its values on the sampling set is attached
+  where the search stands, the solver backtracks only to the clause's
+  asserting level, and the next :meth:`Solver.solve` resumes from there
+  instead of from the root — how ``BSAT`` enumerates;
 * assumption-guarded *constraint groups* (:meth:`Solver.add_xor_group` /
   :meth:`Solver.release_group`): each hash row carries a fresh activation
   variable folded into its parity, so one solver can carry learnt clauses,
@@ -85,7 +90,9 @@ class Solver:
 
     Clauses may be added between ``solve`` calls (the solver backtracks to
     the root level automatically); XOR constraints may be added any time
-    before the next solve.
+    before the next solve.  A SAT answer leaves the satisfying trail in
+    place, so :meth:`block_model` can read the decision levels of the
+    model it blocks.
     """
 
     def __init__(
@@ -136,6 +143,9 @@ class Solver:
         self._cla_decay = 1.0 / 0.999
         self._heap: list[tuple[float, int]] = []
         self._max_learnts = 4000
+        # Set by block_model: the next solve() resumes from the current
+        # trail instead of backtracking to the root.
+        self._resume = False
         self.stats = SolverStats()
         if cnf is not None:
             self.add_cnf(cnf)
@@ -376,8 +386,16 @@ class Solver:
         self,
         assumptions: Sequence[int] = (),
         budget: Budget | None = None,
+        model_vars: int | None = None,
     ) -> SolveResult:
-        """Run CDCL search, optionally under assumptions and budgets."""
+        """Run CDCL search, optionally under assumptions and budgets.
+
+        Search starts from the root, unless :meth:`block_model` ran since
+        the last call: then it resumes from the trail that call left,
+        which requires the same ``assumptions`` as the call that found the
+        blocked model.  ``model_vars`` limits the returned model to
+        variables ``1..model_vars`` (default: every variable).
+        """
         start = time.monotonic()
         budget = budget or Budget()
         deadline = (
@@ -386,7 +404,10 @@ class Solver:
             else None
         )
         start_conflicts = self.stats.conflicts
-        self.cancel_until(0)
+        if self._resume:
+            self._resume = False
+        else:
+            self.cancel_until(0)
         if not self._ok:
             return self._result(UNSAT, start, start_conflicts)
         if not self._attach_pending_xors():
@@ -452,14 +473,65 @@ class Solver:
 
             outcome = self._decide(iassumps)
             if outcome == SAT:
-                model = {
-                    v: self._assigns[v] == TRUE for v in range(1, self._nvars + 1)
-                }
-                self.cancel_until(0)
+                # Every variable is assigned, so each value is TRUE or FALSE.
+                width = self._nvars if model_vars is None else model_vars
+                values = map(bool, self._assigns[1 : width + 1])
+                model = dict(zip(range(1, width + 1), values))
                 return self._result(SAT, start, start_conflicts, model)
             if outcome == UNSAT:
                 self.cancel_until(0)
                 return self._result(UNSAT, start, start_conflicts)
+
+    def block_model(self, svars: Sequence[int], tag=None) -> bool:
+        """Forbid the current model's values on ``svars``; resume in place.
+
+        Call right after :meth:`solve` answered SAT.  The blocking clause
+        is false under the model; literals false at the root are left
+        out.  Rather than restarting from the root, the solver backtracks
+        to the clause's *asserting level*, the second-highest decision
+        level among its literals, where the clause becomes unit and its
+        highest literal is implied.  When the two highest levels tie, it
+        backtracks one level below them, where the clause has two free
+        literals to watch.  The next :meth:`solve` (same assumptions)
+        resumes the search from there.
+
+        With a group ``tag`` the clause also carries the group's guard
+        literal, which is false at the assumption level, and dies with
+        the group (as in :meth:`add_group_clause`).  Returns False when no
+        further model can exist (the clause is empty).
+        """
+        assigns = self._assigns
+        level = self._level
+        lits = [(v << 1) | assigns[v] for v in svars if level[v]]
+        group = None
+        if tag is not None:
+            group = self._groups[tag]
+            lits.append(group["guard"] << 1)
+        if not lits:
+            self.cancel_until(0)
+            self._ok = False
+            return False
+        # Highest-level literal first, the next highest second.
+        top = max(range(len(lits)), key=lambda k: level[lits[k] >> 1])
+        lits[0], lits[top] = lits[top], lits[0]
+        self._resume = True
+        if len(lits) == 1:
+            self.cancel_until(0)
+            self._unchecked_enqueue(lits[0], None)
+            return True
+        second = max(range(1, len(lits)), key=lambda k: level[lits[k] >> 1])
+        lits[1], lits[second] = lits[second], lits[1]
+        high = level[lits[0] >> 1]
+        asserting = level[lits[1] >> 1]
+        self.cancel_until(high - 1 if asserting == high else asserting)
+        self._watches[lits[0]].append(lits)
+        self._watches[lits[1]].append(lits)
+        self._clauses.append(lits)
+        if group is not None:
+            group["clauses"].append(lits)
+        if asserting != high:
+            self._unchecked_enqueue(lits[0], lits)
+        return True
 
     def _result(
         self,
@@ -531,23 +603,35 @@ class Solver:
     # ------------------------------------------------------------------
     def _propagate(self):
         """Propagate to fixpoint; return a conflicting clause (list of
-        internal literals, all false) or None."""
+        internal literals, all false) or None.
+
+        The hot state (queue head, decision level, the per-variable
+        arrays, both assignment masks, the counters) lives in locals for
+        the whole call and is written back once on the way out.
+        """
         trail = self._trail
         watches = self._watches
         assigns = self._assigns
+        level = self._level
+        reason = self._reason
         xwatches = self._xwatches
         xors = self._xors
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
+        dl = len(self._trail_lim)
+        assigned_mask = self._assigned_mask
+        true_mask = self._true_mask
+        qhead = self._qhead
+        props = xprops = 0
+        confl = None
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            props += 1
 
             # --- regular clauses watching ¬p -------------------------------
             false_lit = p ^ 1
             ws = watches[false_lit]
             i = j = 0
             n = len(ws)
-            confl = None
             while i < n:
                 c = ws[i]
                 i += 1
@@ -575,12 +659,12 @@ class Solver:
                 if fval == UNDEF:
                     # Unit: imply c[0]; keep implied literal at slot 0.
                     v = first >> 1
-                    self._assigns[v] = (first & 1) ^ 1
-                    self._level[v] = len(self._trail_lim)
-                    self._reason[v] = c
-                    self._assigned_mask |= 1 << v
+                    assigns[v] = (first & 1) ^ 1
+                    level[v] = dl
+                    reason[v] = c
+                    assigned_mask |= 1 << v
                     if not first & 1:
-                        self._true_mask |= 1 << v
+                        true_mask |= 1 << v
                     trail.append(first)
                 else:
                     # Conflict: compact the rest of the watch list and stop.
@@ -591,7 +675,7 @@ class Solver:
                     confl = c
             del ws[j:]
             if confl is not None:
-                return confl
+                break
 
             # --- XOR constraints watching var(p) ----------------------------
             # All parity/watch work below is whole-word arithmetic on the
@@ -603,7 +687,6 @@ class Solver:
                 continue
             i = j = 0
             n = len(xws)
-            xconfl = None
             while i < n:
                 xid = xws[i]
                 i += 1
@@ -611,7 +694,7 @@ class Solver:
                 if rec[3] == var:
                     rec[2], rec[3] = rec[3], rec[2]
                 other = rec[3]
-                free = rec[4] & ~self._assigned_mask & ~(1 << other)
+                free = rec[4] & ~assigned_mask & ~(1 << other)
                 if free:
                     # Lowest free var == the first unassigned position of
                     # the (sorted) var list, matching the list-scan order.
@@ -622,29 +705,35 @@ class Solver:
                 xws[j] = xid
                 j += 1
                 if assigns[other] == UNDEF:
-                    parity = (rec[4] & self._true_mask).bit_count() & 1
+                    parity = (rec[4] & true_mask).bit_count() & 1
                     value = rec[1] ^ bool(parity)
                     lit = (other << 1) | (not value)
-                    self._assigns[other] = 1 if value else 0
-                    self._level[other] = len(self._trail_lim)
-                    self._reason[other] = ("x", xid)
-                    self._assigned_mask |= 1 << other
+                    assigns[other] = 1 if value else 0
+                    level[other] = dl
+                    reason[other] = ("x", xid)
+                    assigned_mask |= 1 << other
                     if value:
-                        self._true_mask |= 1 << other
+                        true_mask |= 1 << other
                     trail.append(lit)
-                    self.stats.xor_propagations += 1
+                    xprops += 1
                 else:
-                    parity = (rec[4] & self._true_mask).bit_count() & 1
+                    parity = (rec[4] & true_mask).bit_count() & 1
                     if bool(parity) != rec[1]:
                         while i < n:
                             xws[j] = xws[i]
                             j += 1
                             i += 1
-                        xconfl = self._xor_conflict_clause(xid)
+                        confl = self._xor_conflict_clause(xid)
             del xws[j:]
-            if xconfl is not None:
-                return xconfl
-        return None
+            if confl is not None:
+                break
+        self._qhead = qhead
+        self._assigned_mask = assigned_mask
+        self._true_mask = true_mask
+        stats = self.stats
+        stats.propagations += props
+        stats.xor_propagations += xprops
+        return confl
 
     def _xor_conflict_clause(self, xid: int) -> list[int]:
         """The CNF clause of the XOR falsified by the current assignment."""

@@ -730,9 +730,8 @@ class Solver:
         self._qhead = qhead
         self._assigned_mask = assigned_mask
         self._true_mask = true_mask
-        stats = self.stats
-        stats.propagations += props
-        stats.xor_propagations += xprops
+        self.stats.propagations += props
+        self.stats.xor_propagations += xprops
         return confl
 
     def _xor_conflict_clause(self, xid: int) -> list[int]:

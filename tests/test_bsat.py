@@ -33,9 +33,8 @@ class TestBounds:
         assert result.complete
 
     def test_exact_boundary(self):
-        """At |R_F| == bound, all witnesses are found; completeness may or
-        may not be proven (the final blocking clause can make the solver
-        detect root-level UNSAT eagerly), but callers needing certainty
+        """At |R_F| == bound, all witnesses are found but completeness is
+        not reported (see TestCompleteAtBound); callers needing certainty
         request bound+1 — which must prove it."""
         cnf = CNF(2, sampling_set=[1, 2])  # 4 models
         result = bsat(cnf, 4)

@@ -130,14 +130,15 @@ def _enumerate(
     svars: Sequence[int],
     budget: Budget,
     num_vars: int,
+    assumptions: Sequence[int] = (),
     tag=None,
 ) -> EnumerationResult:
     """The blocking-clause enumeration loop of both solving modes.
 
-    Fresh-solver mode passes no ``tag``; session mode passes the tag of
-    the call's constraint group, so the search runs under the group's
-    assumptions and each blocking clause carries the group's guard
-    literal.  Either way :meth:`Solver.block_model` blocks a model at its
+    Fresh-solver mode passes no group; session mode passes the
+    ``assumptions`` and ``tag`` of the call's constraint group, so the
+    search runs under the group's assumptions and each blocking clause
+    carries the group's guard literal.  Either way :meth:`Solver.block_model` blocks a model at its
     asserting level and the next ``solve()`` resumes from there.  Models
     are cut to the first ``num_vars`` variables so session auxiliaries
     never leak into witnesses.  ``result.solver`` carries the
@@ -151,7 +152,6 @@ def _enumerate(
         else None
     )
     conflicts_left = budget.max_conflicts
-    assumptions = solver.group_assumptions(tag) if tag is not None else ()
     result = EnumerationResult()
     before = solver.stats.snapshot()
     try:
@@ -281,10 +281,11 @@ class SolverSession:
         tag = self._next_tag
         self._next_tag += 1
         solver = self._solver
-        solver.add_xor_group(rows, tag)
+        assumptions = solver.add_xor_group(rows, tag)
         try:
             result = _enumerate(
-                solver, bound, svars, sliced, self._num_vars, tag=tag
+                solver, bound, svars, sliced, self._num_vars,
+                assumptions=assumptions, tag=tag,
             )
         finally:
             solver.release_group(tag)

@@ -143,9 +143,11 @@ class Solver:
         self._cla_decay = 1.0 / 0.999
         self._heap: list[tuple[float, int]] = []
         self._max_learnts = 4000
-        # Set by block_model: the next solve() resumes from the current
+        # Set by block_model: the next solve() under the same assumptions
+        # (``_assumps``, those of the last solve) resumes from the current
         # trail instead of backtracking to the root.
         self._resume = False
+        self._assumps: list[int] = []
         self.stats = SolverStats()
         if cnf is not None:
             self.add_cnf(cnf)
@@ -265,10 +267,10 @@ class Solver:
         *defines* ``a`` while it is free (a conservative extension — it
         constrains nothing else), and collapses to ``xor(vars) = rhs`` under
         the assumption ``¬a``.  A per-group *guard variable* plays the same
-        role for clauses added via :meth:`add_group_clause`.  The returned
-        external literals (all negative) activate the group when passed to
-        :meth:`solve`; dropping them deactivates it without unsoundness,
-        and :meth:`release_group` retires it for good.
+        role for the group's blocking clauses (:meth:`block_model`).  The
+        returned external literals (all negative) activate the group when
+        passed to :meth:`solve`; dropping them deactivates it without
+        unsoundness, and :meth:`release_group` retires it for good.
         """
         if tag in self._groups:
             raise ValueError(f"group {tag!r} already exists")
@@ -289,24 +291,7 @@ class Solver:
             group["xids"].append(
                 self._new_xor_record(list(xor.vars) + [activator], bool(xor.rhs))
             )
-        return self.group_assumptions(tag)
-
-    def group_assumptions(self, tag) -> list[int]:
-        """The (external) assumption literals that activate group ``tag``."""
-        return [-v for v in self._groups[tag]["aux"]]
-
-    def add_group_clause(self, tag, ext_lits: Iterable[int]) -> bool:
-        """Add a clause scoped to group ``tag`` (e.g. a blocking clause).
-
-        The group's guard variable is appended, so the clause binds only
-        while the group's assumptions hold and dies with the group.
-        """
-        group = self._groups[tag]
-        before = len(self._clauses)
-        ok = self.add_clause(list(ext_lits) + [group["guard"]])
-        if len(self._clauses) > before:
-            group["clauses"].append(self._clauses[-1])
-        return ok
+        return [-v for v in group["aux"]]
 
     def release_group(self, tag) -> None:
         """Retire group ``tag``: detach its rows and clauses for good.
@@ -391,10 +376,10 @@ class Solver:
         """Run CDCL search, optionally under assumptions and budgets.
 
         Search starts from the root, unless :meth:`block_model` ran since
-        the last call: then it resumes from the trail that call left,
-        which requires the same ``assumptions`` as the call that found the
-        blocked model.  ``model_vars`` limits the returned model to
-        variables ``1..model_vars`` (default: every variable).
+        the last call and ``assumptions`` equal that call's: then it
+        resumes from the trail :meth:`block_model` left.  ``model_vars``
+        limits the returned model to variables ``1..model_vars`` (default:
+        every variable).
         """
         start = time.monotonic()
         budget = budget or Budget()
@@ -404,19 +389,19 @@ class Solver:
             else None
         )
         start_conflicts = self.stats.conflicts
-        if self._resume:
-            self._resume = False
-        else:
-            self.cancel_until(0)
-        if not self._ok:
-            return self._result(UNSAT, start, start_conflicts)
-        if not self._attach_pending_xors():
-            return self._result(UNSAT, start, start_conflicts)
         iassumps = []
         for ext in assumptions:
             il = to_internal(ext)
             self.ensure_vars(il >> 1)
             iassumps.append(il)
+        if not (self._resume and iassumps == self._assumps):
+            self.cancel_until(0)
+        self._resume = False
+        self._assumps = iassumps
+        if not self._ok:
+            return self._result(UNSAT, start, start_conflicts)
+        if not self._attach_pending_xors():
+            return self._result(UNSAT, start, start_conflicts)
 
         local_conflicts = 0
         restart_idx = 0
@@ -492,13 +477,15 @@ class Solver:
         level among its literals, where the clause becomes unit and its
         highest literal is implied.  When the two highest levels tie, it
         backtracks one level below them, where the clause has two free
-        literals to watch.  The next :meth:`solve` (same assumptions)
-        resumes the search from there.
+        literals to watch.  The next :meth:`solve` under the same
+        assumptions resumes the search from there; one under other
+        assumptions starts from the root as usual.
 
         With a group ``tag`` the clause also carries the group's guard
-        literal, which is false at the assumption level, and dies with
-        the group (as in :meth:`add_group_clause`).  Returns False when no
-        further model can exist (the clause is empty).
+        literal, which is false at the assumption level, so it binds only
+        while the group's assumptions hold; :meth:`release_group` drops it
+        with the group.  Returns False when no further model can exist
+        (the clause is empty).
         """
         assigns = self._assigns
         level = self._level

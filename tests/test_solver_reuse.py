@@ -127,10 +127,7 @@ class TestGroupLifecycle:
             if res.status != "SAT":
                 break
             seen += 1
-            model = res.model
-            solver.add_group_clause(
-                "g0", [-v if model[v] else v for v in range(1, 5)]
-            )
+            solver.block_model(range(1, 5), "g0")
         assert seen == 8  # var 1 pinned true
         solver.release_group("g0")
         # Group gone: the full 2^4 space is back, including var1=False.
@@ -157,14 +154,29 @@ class TestGroupLifecycle:
                 if res.status != "SAT":
                     break
                 count += 1
-                model = res.model
-                solver.add_group_clause(
-                    tag, [-v if model[v] else v for v in range(1, 5)]
-                )
+                solver.block_model(range(1, 5), tag)
             # Full space both times: the first group's 16 blocking
             # clauses must not survive its release.
             assert count == 16
             solver.release_group(tag)
+
+    def test_other_assumptions_after_block_model_start_from_root(self):
+        # block_model leaves the trail above the root for a resume; a
+        # solve() under different assumptions must not continue from it.
+        solver = Solver(self._base())
+        res = solver.solve(assumptions=[1])
+        assert res.status == "SAT" and res.model[1] is True
+        solver.block_model(range(1, 5))
+        count = 0
+        while True:
+            res = solver.solve(assumptions=[-1])
+            if res.status != "SAT":
+                break
+            assert res.model[1] is False
+            count += 1
+            solver.block_model(range(1, 5))
+        # The one blocked model had var 1 true, so all 8 remain.
+        assert count == 8
 
 
 class TestBudgetSlicing:

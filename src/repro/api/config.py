@@ -43,20 +43,11 @@ class SamplerConfig:
         the conservative CP'13 count) and ``"linear"`` vs ``"galloping"``.
     ``hash_density``
         XOR row density; 0.5 is the 3-independent family Theorem 1 needs.
-    ``matrix_reuse``
-        Opt-in prefix-consistent cell search: one ``draw_matrix`` per
-        window sweep with incremental GF(2) elimination across ``{q−3..q}``
-        (ApproxMC2-style).  Off by default — it changes RNG consumption,
-        so fixed-seed streams differ from the paper's per-``i`` protocol.
-    ``gf2_backend``
-        GF(2) elimination kernel: ``"python"`` | ``"numpy"`` | ``None``
-        (defer to ``$REPRO_GF2_BACKEND``, then auto-detection).
-    ``solver_reuse``
-        Opt-in incremental CDCL sessions: one solver carried across all
-        BSAT calls of a window sweep, each cell's hash rows entering as a
-        releasable XOR group.  Composes with ``matrix_reuse`` (pre-reduced
-        prefix rows become the groups).  It changes no RNG consumption:
-        fixed-seed streams equal those of fresh solving.
+
+    How cells are solved is not a knob: every window sweep runs on one
+    incremental solver session (see :mod:`repro.core.cellsearch`).
+    Configs saved with the retired ``solver_reuse``, ``matrix_reuse`` or
+    ``gf2_backend`` keys still load; :meth:`from_dict` drops them.
 
     Baselines
     ---------
@@ -82,9 +73,6 @@ class SamplerConfig:
     approxmc_iterations: int | None = 9
     approxmc_search: str = "linear"
     hash_density: float = 0.5
-    matrix_reuse: bool = False
-    gf2_backend: str | None = None
-    solver_reuse: bool = False
     leapfrog: bool = False
     xor_count: int | None = None
     max_cell: int = 10_000

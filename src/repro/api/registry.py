@@ -156,9 +156,6 @@ def _unigen_kwargs(config: SamplerConfig, prepared, rng) -> dict:
         approxmc_search=config.approxmc_search,
         hash_density=config.hash_density,
         prepared=prepared,
-        matrix_reuse=config.matrix_reuse,
-        gf2_backend=config.gf2_backend,
-        solver_reuse=config.solver_reuse,
     )
     if prepared is not None and config.sampling_set is None:
         # The artifact pins the sampling set it was built under; q and the

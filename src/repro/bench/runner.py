@@ -15,17 +15,16 @@ Config schema (JSON)::
       "algorithms": [
         {
           "name": "gf2-elim",                  // registry key (required)
-          "parameters": {"backend": ["python"], "rows": [100, 500]},
-          "skip_existing": true,               // default true
-          "requires": ["numpy"]                // optional: skip block (with a
-        }                                      // log line) when unavailable
+          "parameters": {"vars": [512, 2048], "rows": [500]},
+          "skip_existing": true                // default true
+        }
       ]
     }
 
-Omitted parameters use the registry defaults.  ``skip_existing`` consults
-the algorithm's ``key_cols`` against the existing CSV, so re-running a
-config only fills in missing combinations — append-only, never clobbering
-earlier measurements.
+Omitted parameters use the registry defaults; any other block key is
+rejected.  ``skip_existing`` consults the algorithm's ``key_cols`` against
+the existing CSV, so re-running a config only fills in missing
+combinations — append-only, never clobbering earlier measurements.
 
 Algorithms
 ----------
@@ -37,14 +36,15 @@ Algorithms
     a collapse of ``rows_per_s`` at rank 500.
 ``unigen-sweep``
     End-to-end witness sampling over a suite benchmark, sweeping sampler ×
-    GF(2) backend × jobs × window × matrix-reuse.  Honest wall-clock: the
-    prepare phase (lines 1–11) and the sampling loop are reported
-    separately so amortized and cold costs are both visible.
+    jobs × window.  Honest wall-clock: the prepare phase (lines 1–11) and
+    the sampling loop are reported separately so amortized and cold costs
+    are both visible.
 ``bsat-sweep``
     The inner-loop cell sweep in isolation: identical ``Hxor`` draws
-    enumerated fresh-solver vs shared-session (``mode``), so the
-    fresh-vs-reuse pair at matching identity *is* the incremental-CDCL
-    speedup (folded into ``bsat_speedups`` by ``--emit``).
+    enumerated one-shot :func:`~repro.sat.enumerate.bsat` vs the shared
+    session the cell search uses (``mode``), so the fresh-vs-reuse pair at
+    matching identity *is* the incremental-CDCL speedup (folded into
+    ``bsat_speedups`` by ``--emit``).
 ``solver-micro``
     The solver micro-benchmarks that used to live in
     ``benchmarks/bench_solver.py``: plain CDCL solves, hashed BSAT
@@ -63,7 +63,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..rng import RandomSource
-from ..sat.gf2 import BitMatrix, available_gf2_backends
+from ..sat.gf2 import BitMatrix
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def _run_gf2_elim(params: dict) -> dict:
     rank = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        matrix = BitMatrix.create(n_vars, backend=params["backend"])
+        matrix = BitMatrix(n_vars)
         matrix.extend(drawn)
         matrix.reduced_rows()
         elapsed = time.perf_counter() - start
@@ -140,11 +140,10 @@ _register(
             "vars": 512,
             "rows": 500,
             "density": 0.5,
-            "backend": "python",
             "seed": 2014,
             "repeats": 3,
         },
-        key_cols=("vars", "rows", "density", "backend", "seed"),
+        key_cols=("vars", "rows", "density", "seed"),
         metric_cols=("wall_s", "rank", "rows_per_s"),
         run=_run_gf2_elim,
     )
@@ -165,9 +164,6 @@ def _run_unigen_sweep(params: dict) -> dict:
         epsilon=6.0,
         seed=int(params["seed"]),
         approxmc_search="galloping",
-        matrix_reuse=bool(params["matrix_reuse"]),
-        gf2_backend=params["gf2_backend"] or None,
-        solver_reuse=bool(params["solver_reuse"]),
     )
     n = int(params["n"])
     jobs = int(params["jobs"])
@@ -212,16 +208,13 @@ def _run_unigen_sweep(params: dict) -> dict:
 _register(
     BenchAlgorithm(
         name="unigen-sweep",
-        summary="end-to-end sampling: sampler x gf2 backend x jobs x window",
+        summary="end-to-end sampling: sampler x jobs x window",
         defaults={
             "benchmark": "case121",
             "scale": "quick",
             "sampler": "unigen2",
             "n": 200,
             "seed": 2014,
-            "gf2_backend": "python",
-            "matrix_reuse": False,
-            "solver_reuse": False,
             "jobs": 1,
             "window": 0,
         },
@@ -231,9 +224,6 @@ _register(
             "sampler",
             "n",
             "seed",
-            "gf2_backend",
-            "matrix_reuse",
-            "solver_reuse",
             "jobs",
             "window",
         ),
@@ -438,6 +428,10 @@ _register(
 # The runner: config loading, sweeps, CSV with skip-existing.
 # ----------------------------------------------------------------------
 
+#: The keys an algorithm block may carry.
+_BLOCK_KEYS = {"name", "parameters", "skip_existing"}
+
+
 def load_config(path: str | Path) -> dict:
     """Parse and validate a sweep config file."""
     data = json.loads(Path(path).read_text())
@@ -445,6 +439,14 @@ def load_config(path: str | Path) -> dict:
         raise ValueError(f"{path}: config must be an object with 'algorithms'")
     for block in data["algorithms"]:
         name = block.get("name")
+        extra = set(block) - _BLOCK_KEYS
+        if extra:
+            # An unread key (a typo, or a condition such as "requires")
+            # would otherwise run the block as if it were not there.
+            raise ValueError(
+                f"{path}: benchmark block {name!r} has unknown keys "
+                f"{sorted(extra)}"
+            )
         if name not in ALGORITHMS:
             raise ValueError(
                 f"{path}: unknown benchmark {name!r}; "
@@ -470,16 +472,6 @@ def iter_param_grid(defaults: dict, sweeps: dict) -> list[dict]:
         params.update(zip(names, combo))
         grid.append(params)
     return grid
-
-
-def _requirements_met(block: dict) -> tuple[bool, str]:
-    for req in block.get("requires", []):
-        if req == "numpy":
-            if "numpy" not in available_gf2_backends():
-                return False, "numpy not installed"
-        else:
-            raise ValueError(f"unknown requirement {req!r}")
-    return True, ""
 
 
 def _key_of(algorithm: BenchAlgorithm, params: dict) -> tuple[str, ...]:
@@ -528,8 +520,7 @@ def run_config(
     CSV are skipped when the block's ``skip_existing`` (default true)
     allows — pass ``skip_existing_override`` to force either way.
     Skipped combinations are returned with ``skipped=True`` so callers
-    can tell coverage from fresh work; unmet ``requires`` blocks are
-    logged, never silently dropped.
+    can tell coverage from fresh work.
     """
     say = log or (lambda _msg: None)
     out = Path(out_dir or config.get("out_dir", "benchmarks/out"))
@@ -537,10 +528,6 @@ def run_config(
     rows: list[BenchRow] = []
     for block in config["algorithms"]:
         algorithm = ALGORITHMS[block["name"]]
-        met, why = _requirements_met(block)
-        if not met:
-            say(f"skip {algorithm.name}: {why}")
-            continue
         skip_existing = block.get("skip_existing", True)
         if skip_existing_override is not None:
             skip_existing = skip_existing_override
@@ -572,35 +559,6 @@ def run_config(
 # ----------------------------------------------------------------------
 # Trajectory artifact (BENCH_*.json).
 # ----------------------------------------------------------------------
-
-def _pair_speedups(points: list[dict]) -> list[dict]:
-    """python-vs-numpy pairs among gf2-elim points with matching identity."""
-    by_identity: dict[tuple, dict[str, dict]] = {}
-    for point in points:
-        if point.get("algorithm") != "gf2-elim":
-            continue
-        identity = (point["vars"], point["rows"], point["density"], point["seed"])
-        by_identity.setdefault(identity, {})[point["backend"]] = point
-    pairs = []
-    for (n_vars, rows, density, seed), sides in sorted(
-        by_identity.items(), key=str
-    ):
-        if "python" not in sides or "numpy" not in sides:
-            continue
-        py, np_ = sides["python"]["wall_s"], sides["numpy"]["wall_s"]
-        pairs.append(
-            {
-                "vars": n_vars,
-                "rows": rows,
-                "density": density,
-                "seed": seed,
-                "python_wall_s": py,
-                "numpy_wall_s": np_,
-                "speedup": round(py / np_, 2) if np_ > 0 else float("inf"),
-            }
-        )
-    return pairs
-
 
 def _pair_bsat_speedups(points: list[dict]) -> list[dict]:
     """fresh-vs-reuse pairs among bsat-sweep points with matching identity."""
@@ -636,19 +594,16 @@ def emit_trajectory(
     """Write the run's fresh points as one ``BENCH_*.json`` artifact.
 
     Skipped (already-measured) combinations are counted but not re-listed;
-    gf2-elim python/numpy pairs are folded into ``speedups`` and
-    bsat-sweep fresh/reuse pairs into ``bsat_speedups``, so the headline
-    ratios are recomputed from the measured points every time.
+    bsat-sweep fresh/reuse pairs are folded into ``bsat_speedups``, so the
+    headline ratio is recomputed from the measured points every time.
     """
     points = [row.as_point() for row in rows if not row.skipped]
     artifact = {
         "bench": "innerloop",
         "generated_by": "repro bench",
         "config": config_path,
-        "gf2_backends_available": available_gf2_backends(),
         "points": points,
         "skipped_existing": sum(1 for row in rows if row.skipped),
-        "speedups": _pair_speedups(points),
         "bsat_speedups": _pair_bsat_speedups(points),
     }
     Path(path).write_text(json.dumps(artifact, indent=2) + "\n")

@@ -107,9 +107,6 @@ class UniGen(WitnessSampler):
         approxmc_search: str = "linear",
         hash_density: float = 0.5,
         prepared=None,
-        matrix_reuse: bool = False,
-        gf2_backend: str | None = None,
-        solver_reuse: bool = False,
     ):
         super().__init__()
         self.cnf = cnf
@@ -128,14 +125,6 @@ class UniGen(WitnessSampler):
         )
         self._bsat_budget = bsat_budget
         self._max_retries = max_retries_per_cell
-        # Opt-in prefix-consistent incremental search (see CellSearch):
-        # changes RNG consumption, so off by default to keep fixed-seed
-        # streams byte-identical to the paper's per-i protocol.
-        self._matrix_reuse = matrix_reuse
-        self._gf2_backend = gf2_backend
-        # Opt-in incremental CDCL sessions (see CellSearch); the stream
-        # equals fresh solving's.
-        self._solver_reuse = solver_reuse
         self._approxmc_iterations = approxmc_iterations
         self._approxmc_search = approxmc_search
         # prepare() outputs:
@@ -289,9 +278,6 @@ class UniGen(WitnessSampler):
                 stats=self.stats,
                 bsat_budget=self._bsat_budget,
                 max_retries=self._max_retries,
-                matrix_reuse=self._matrix_reuse,
-                gf2_backend=self._gf2_backend,
-                solver_reuse=self._solver_reuse,
             )
         cell = self._engine.find_accepted_cell(self._q)
         if cell is not None:

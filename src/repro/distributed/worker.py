@@ -3,7 +3,7 @@
 A worker is transport-agnostic — it drives any
 :class:`~repro.distributed.broker.Broker`.  The sampling itself goes
 through **exactly** the code path the process pool uses
-(:func:`repro.parallel.worker.init_worker` + :func:`~repro.parallel.worker.
+(:class:`repro.parallel.worker.WorkerState` + :func:`~repro.parallel.worker.
 run_chunk`), so the jobs-invariance guarantee extends to the distributed
 path by construction: a chunk produces the same raw result dict whether it
 ran inline, in a pool process, or on another host via a spool directory.
@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import LeaseExpired
-from ..parallel.worker import init_worker, run_chunk
+from ..parallel.worker import WorkerState, run_chunk
 from .broker import Broker, Lease
 from .clock import Clock, wall_clock
 
@@ -128,6 +128,7 @@ def run_worker(
     """
     report = WorkerReport(worker_id=worker_id or default_worker_id())
     initialized_job: str | None = None
+    state: WorkerState | None = None
     stale_job: str | None = None
     leases_taken = 0
     idle_since = clock()
@@ -157,7 +158,7 @@ def run_worker(
                 continue
             # One payload deserialization per job, exactly like the pool's
             # per-process initializer.
-            init_worker(spec.payload)
+            state = WorkerState(spec.payload)
             initialized_job = spec.job_id
             report.jobs_seen.append(spec.job_id)
 
@@ -177,7 +178,7 @@ def run_worker(
             # new spec is already published, hand the chunk back if not.
             spec = broker.job()
             if spec is not None and spec.job_id == lease.job_id:
-                init_worker(spec.payload)
+                state = WorkerState(spec.payload)
                 initialized_job = spec.job_id
                 report.jobs_seen.append(spec.job_id)
             else:
@@ -202,7 +203,7 @@ def run_worker(
             broker, lease, interval_s=max(spec.lease_timeout_s / 3.0, 0.05)
         )
         try:
-            raw = run_chunk(lease.task)
+            raw = run_chunk(lease.task, state)
         except BaseException:
             # Clean shutdown (KeyboardInterrupt, max_chunks SIGTERM handler):
             # hand the chunk back instead of letting the lease age out.

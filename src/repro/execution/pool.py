@@ -24,7 +24,7 @@ from typing import Iterator
 
 from ..errors import BudgetExhausted
 from ..parallel.config import resolve_start_method
-from ..parallel.worker import init_worker, run_chunk
+from ..parallel.worker import init_worker, run_pooled_chunk
 from .base import ExecutionPlan, SampleBackend
 from .registry import register_backend
 
@@ -77,7 +77,7 @@ class PoolBackend(SampleBackend):
                 while next_submit < len(tasks) and len(pending) < window:
                     task = tasks[next_submit]
                     pending.append(
-                        (task, pool.apply_async(run_chunk, (task,)))
+                        (task, pool.apply_async(run_pooled_chunk, (task,)))
                     )
                     next_submit += 1
                     self._track(len(pending))

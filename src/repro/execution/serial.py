@@ -1,7 +1,7 @@
 """The serial backend: the chunked pipeline, inline, one chunk at a time.
 
 Runs through **exactly** the worker code path the pool and broker use
-(:func:`~repro.parallel.worker.init_worker` +
+(:class:`~repro.parallel.worker.WorkerState` +
 :func:`~repro.parallel.worker.run_chunk`), so it is both the reference
 stream every other backend must reproduce and the cheapest way to stream:
 one chunk of witnesses alive at any instant, no processes, no transport.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..parallel.worker import init_worker, run_chunk
+from ..parallel.worker import WorkerState, run_chunk
 from .base import ExecutionPlan, SampleBackend
 from .registry import register_backend
 
@@ -25,10 +25,12 @@ class SerialBackend(SampleBackend):
         return 1
 
     def run_plan(self, plan: ExecutionPlan) -> Iterator[dict]:
-        init_worker(plan.payload)
+        # One state per plan, held here: plans interleaved in one thread
+        # or run on concurrent threads never share a formula.
+        state = WorkerState(plan.payload)
         for task in plan.tasks:
             self._track(1)
-            yield run_chunk(task)
+            yield run_chunk(task, state)
             self._track(0)
 
 

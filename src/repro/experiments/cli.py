@@ -19,7 +19,8 @@ the sampling lifecycle as a tool:
 * ``repro bench --config sweep.json`` — the config-driven benchmark
   runner: registered micro/end-to-end benchmarks swept over parameter
   grids, CSVs with skip-existing, ``--emit BENCH_innerloop.json`` folds
-  the measured python-vs-numpy pairs into a trajectory artifact;
+  the measured points and fresh-vs-session BSAT pairs into a trajectory
+  artifact;
 * ``repro broker SPOOL FILE.cnf`` — submit a sampling job to a spool-
   directory chunk queue and wait for ``repro worker`` processes to drain
   it (``--workers N`` also spawns local ones); expired leases are retried
@@ -135,20 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bsat-timeout", type=float, default=60.0)
     p.add_argument("--xor-count", type=int, default=None,
                    help="XOR count s (required by --sampler xorsample)")
-    p.add_argument("--matrix-reuse", action="store_true",
-                   help="prefix-consistent cell search: one hash matrix per"
-                        " window sweep with incremental GF(2) elimination"
-                        " across {q-3..q} (ApproxMC2-style); changes RNG"
-                        " consumption vs the paper's per-i protocol")
-    p.add_argument("--solver-reuse", action="store_true",
-                   help="incremental CDCL sessions: one solver carried"
-                        " across each window sweep's BSAT calls, hash rows"
-                        " entering as releasable XOR groups; composes with"
-                        " --matrix-reuse; draws the same fixed-seed stream"
-                        " as fresh solving")
-    p.add_argument("--gf2-backend", choices=("python", "numpy"), default=None,
-                   help="GF(2) elimination kernel (default: "
-                        "$REPRO_GF2_BACKEND, then numpy when installed)")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="sample through the parallel engine with N worker"
                         " processes (N=1 runs the identical chunked pipeline"
@@ -288,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                         " out_dir, else benchmarks/out)")
     p.add_argument("--emit", metavar="BENCH_JSON", default=None,
                    help="also fold this run's measured points (plus"
-                        " python-vs-numpy speedup pairs) into one"
-                        " trajectory artifact")
+                        " bsat-sweep fresh-vs-session speedup pairs) into"
+                        " one trajectory artifact")
     p.add_argument("--no-skip-existing", action="store_true",
                    help="re-measure combinations already present in the"
                         " CSVs instead of skipping them")
@@ -1341,9 +1328,6 @@ def main(argv: list[str] | None = None) -> int:
                 bsat_timeout_s=args.bsat_timeout,
                 approxmc_search="galloping",
                 xor_count=args.xor_count,
-                matrix_reuse=args.matrix_reuse,
-                gf2_backend=args.gf2_backend,
-                solver_reuse=args.solver_reuse,
             )
             if args.backend is not None:
                 from ..errors import WorkerFailure
@@ -1445,12 +1429,7 @@ def main(argv: list[str] | None = None) -> int:
               f"(config={args.config})", file=sys.stderr)
         if args.emit:
             artifact = emit_trajectory(rows, args.emit, args.config)
-            for pair in artifact["speedups"]:
-                print(f"c gf2-elim vars={pair['vars']} rows={pair['rows']}: "
-                      f"python {pair['python_wall_s']}s / numpy "
-                      f"{pair['numpy_wall_s']}s = {pair['speedup']}x",
-                      file=sys.stderr)
-            for pair in artifact.get("bsat_speedups", []):
+            for pair in artifact["bsat_speedups"]:
                 print(f"c bsat-sweep {pair['benchmark']}/{pair['scale']} "
                       f"i={pair['i_lo']}..{pair['i_hi']}: fresh "
                       f"{pair['fresh_wall_s']}s / reuse "

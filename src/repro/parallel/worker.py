@@ -6,14 +6,14 @@ is enforced by construction rather than by careful duplication).
 
 Lifecycle:
 
-* :func:`init_worker` runs once per process as the pool initializer.  It
-  receives the serialized payload — a :class:`~repro.api.prepared.
-  PreparedFormula` **dict** (or DIMACS text for samplers without a prepare
-  phase), the sampler's registry name, and the shared sampler-config dict —
-  and deserializes it into module state.  Shipping the dict rather than a
-  pickled object means the JSON round trip that ``repro prepare --out``
-  relies on is exercised on every parallel run.
-* :func:`run_chunk` handles one unit of work: build a **fresh** sampler
+* :class:`WorkerState` deserializes the payload — a
+  :class:`~repro.api.prepared.PreparedFormula` **dict** (or DIMACS text for
+  samplers without a prepare phase), the sampler's registry name, and the
+  shared sampler-config dict — once per plan.  Shipping the dict rather
+  than a pickled object means the JSON round trip that ``repro prepare
+  --out`` relies on is exercised on every parallel run.
+* :func:`run_chunk` handles one unit of work against the state it is
+  given: build a **fresh** sampler
   seeded from the chunk's deterministically derived seed, run the base
   class's :meth:`~repro.core.base.WitnessSampler.sample_until_results`
   retry loop for up to ``count`` witnesses, and return a plain-dict result
@@ -22,6 +22,12 @@ Lifecycle:
   :class:`~repro.core.base.SamplerStats`).  Exceptions never cross the
   boundary raw — they are captured with their traceback text and re-raised
   by the engine as :class:`~repro.errors.WorkerFailure`.
+
+The serial backend and the distributed worker hold their ``WorkerState``
+in a local variable, so two plans running in one process (the gateway's
+concurrent groups) never see each other's formula.  Only a pool process
+keeps a module slot: :func:`init_worker` fills it as the pool initializer
+and :func:`run_pooled_chunk` reads it.
 
 API imports happen inside functions: :mod:`repro.api` re-exports the
 parallel entry points, so module-level imports here would be circular.
@@ -35,8 +41,8 @@ import traceback
 from ..errors import ReproError
 from ..rng import RandomSource
 
-#: Per-process deserialized payload, set by :func:`init_worker`.
-_STATE: "WorkerState | None" = None
+#: A pool process's deserialized payload, set by :func:`init_worker`.
+_POOL_STATE: "WorkerState | None" = None
 
 #: The clock chunks measure themselves with.  An indirection (rather than a
 #: direct ``time.monotonic()`` call) so tests can substitute a fake clock —
@@ -69,14 +75,22 @@ class WorkerState:
 
 def init_worker(payload: dict) -> None:
     """Pool initializer: deserialize the payload once per process."""
-    global _STATE
-    _STATE = WorkerState(payload)
+    global _POOL_STATE
+    _POOL_STATE = WorkerState(payload)
 
 
-def run_chunk(task: tuple[int, int, int, int]) -> dict:
-    """Execute one chunk: ``(chunk_index, seed, count, max_attempts)``.
+def run_pooled_chunk(task: tuple[int, int, int, int]) -> dict:
+    """:func:`run_chunk` against this pool process's state."""
+    return run_chunk(task, _POOL_STATE)
 
-    Returns a JSON-friendly dict; on failure the ``error`` key carries the
+
+def run_chunk(
+    task: tuple[int, int, int, int], state: WorkerState | None
+) -> dict:
+    """Execute one chunk of ``state``'s plan.
+
+    ``task`` is ``(chunk_index, seed, count, max_attempts)``.  Returns a
+    JSON-friendly dict; on failure the ``error`` key carries the
     exception's type name, message, and formatted traceback instead of the
     witnesses.
     """
@@ -85,14 +99,14 @@ def run_chunk(task: tuple[int, int, int, int]) -> dict:
     try:
         from ..api.registry import make_sampler
 
-        if _STATE is None:
+        if state is None:
             raise RuntimeError(
                 "worker process not initialized (init_worker did not run)"
             )
         sampler = make_sampler(
-            _STATE.sampler_name,
-            _STATE.target,
-            _STATE.config,
+            state.sampler_name,
+            state.target,
+            state.config,
             rng=RandomSource(seed),
         )
         # The shared retry loop; ⊥ entries ride along so observed success

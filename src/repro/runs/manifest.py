@@ -32,8 +32,16 @@ MANIFEST_SCHEMA_VERSION = 1
 #: Config keys excluded from the resume comparison.  ``seed`` is the one
 #: field the manifest resolves *better* than the config: a ``seed=None``
 #: run drew a fresh root seed at plan time, and ``root_seed`` records the
-#: actual value the stream was drawn under.
-_CONFIG_SKIP = ("seed",)
+#: actual value the stream was drawn under.  ``solver_reuse`` and
+#: ``gf2_backend`` are retired knobs that never changed a stream, so older
+#: manifests may record them at any value.
+_CONFIG_SKIP = ("seed", "solver_reuse", "gf2_backend")
+
+#: Retired knobs that did change the stream, with the value that left it
+#: alone.  A missing key compares as that value, so a manifest recording
+#: it resumes; any other recorded value names a stream this version can
+#: no longer draw, and the resume is refused.
+_RETIRED_DEFAULTS = {"matrix_reuse": False}
 
 
 def manifest_path(out_path) -> Path:
@@ -192,7 +200,9 @@ class RunManifest:
             diff("out_format", self.out_format, out_format)
         keys = set(self.config) | set(config)
         for key in sorted(keys - set(_CONFIG_SKIP)):
-            recorded, live = self.config.get(key), config.get(key)
+            default = _RETIRED_DEFAULTS.get(key)
+            recorded = self.config.get(key, default)
+            live = config.get(key, default)
             if recorded != live:
                 diff(f"config.{key}", recorded, live)
         return found

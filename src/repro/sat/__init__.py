@@ -15,11 +15,7 @@ from .gauss import (
     sample_xor_solution,
     xor_system_solutions,
 )
-from .gf2 import (
-    BitMatrix,
-    available_gf2_backends,
-    resolve_gf2_backend,
-)
+from .gf2 import BitMatrix
 from .solver import Solver, luby
 from .types import (
     FALSE,
@@ -66,6 +62,4 @@ __all__ = [
     "sample_xor_solution",
     "rows_as_xors",
     "BitMatrix",
-    "available_gf2_backends",
-    "resolve_gf2_backend",
 ]

@@ -25,8 +25,14 @@ The result is independent of the solver's search: the solver is seeded
 from a fixed constant (it never draws from a sampler's random stream) and
 the models come back sorted by their values on ``S``.  A complete
 enumeration is therefore a pure function of the cell's witness set, which
-is what lets UniGen's fixed-seed streams survive any change to the solver
-or to fresh-vs-session solving.
+is what lets UniGen's fixed-seed streams survive any change to the solver,
+including the move from one fresh solver per cell to one
+:class:`SolverSession` per sweep.
+
+Two entry points share the enumeration loop: :func:`bsat`, a one-shot
+call on a fresh solver (the baselines, ApproxMC, and the reference the
+session tests compare against), and :meth:`SolverSession.bsat`, which
+UniGen's cell search uses for every cell.
 """
 
 from __future__ import annotations
@@ -133,12 +139,12 @@ def _enumerate(
     assumptions: Sequence[int] = (),
     tag=None,
 ) -> EnumerationResult:
-    """The blocking-clause enumeration loop of both solving modes.
+    """The blocking-clause enumeration loop of both entry points.
 
-    Fresh-solver mode passes no group; session mode passes the
-    ``assumptions`` and ``tag`` of the call's constraint group, so the
-    search runs under the group's assumptions and each blocking clause
-    carries the group's guard literal.  Either way :meth:`Solver.block_model` blocks a model at its
+    :func:`bsat` passes no group; a session passes the ``assumptions`` and
+    ``tag`` of the call's constraint group, so the search runs under the
+    group's assumptions and each blocking clause carries the group's guard
+    literal.  Either way :meth:`Solver.block_model` blocks a model at its
     asserting level and the next ``solve()`` resumes from there.  Models
     are cut to the first ``num_vars`` variables so session auxiliaries
     never leak into witnesses.  ``result.solver`` carries the
@@ -249,15 +255,12 @@ class SolverSession:
         bound: int,
         sampling_set: Sequence[int] | None = None,
         budget: Budget | None = None,
-        gauss: bool = True,
     ) -> EnumerationResult:
         """Enumerate up to ``bound`` witnesses of base ∧ ``xors``.
 
         Same contract as :func:`bsat`, but the hash rows come in as a
         group on the shared solver instead of a fresh conjoined formula.
-        With ``gauss=True`` the rows are reduced standalone before
-        grouping (matrix-reuse callers pass pre-reduced rows and
-        ``gauss=False``).
+        The rows are Gauss-reduced standalone before grouping.
         """
         if bound < 0:
             raise ValueError("bound must be non-negative")
@@ -270,7 +273,7 @@ class SolverSession:
         if bound == 0:
             return result
         rows = list(xors)
-        if gauss and rows:
+        if rows:
             reduced = gaussian_eliminate(rows, self._num_vars)
             if reduced.inconsistent:
                 result.complete = True

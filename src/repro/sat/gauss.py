@@ -9,11 +9,9 @@ clauses; we provide the same capability as a preprocessing/analysis pass:
 * reduce a system to row-echelon form, exposing implied units and
   equivalences that can be handed to the CDCL solver.
 
-The row arithmetic lives in :mod:`repro.sat.gf2`: an incremental
-:class:`~repro.sat.gf2.BitMatrix` kernel with a pure-Python int-mask backend
-and a numpy ``uint64``-packed backend, selected per call via ``backend=`` or
-globally via ``REPRO_GF2_BACKEND``.  Both produce the same (unique) reduced
-row-echelon form, so results here are backend-independent.
+The row arithmetic lives in :mod:`repro.sat.gf2`'s int-mask
+:class:`~repro.sat.gf2.BitMatrix`.  This module is the elimination API on
+top of it; :func:`gaussian_eliminate` is the one entry point BSAT calls.
 """
 
 from __future__ import annotations
@@ -21,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cnf.xor import XorClause
-from .gf2 import (
-    BitMatrix,
-    available_gf2_backends,
-    mask_of_vars,
-    resolve_gf2_backend,
-    vars_of_mask,
-)
+from .gf2 import BitMatrix, mask_of_vars, vars_of_mask
 
 __all__ = [
     "GaussResult",
@@ -35,9 +27,6 @@ __all__ = [
     "xor_system_solutions",
     "sample_xor_solution",
     "rows_as_xors",
-    "BitMatrix",
-    "available_gf2_backends",
-    "resolve_gf2_backend",
 ]
 
 
@@ -94,39 +83,29 @@ def _mask_of(xor: XorClause) -> int:
     return mask_of_vars(xor.vars)
 
 
-def gaussian_eliminate(
-    xors: list[XorClause], num_vars: int, backend: str | None = None
-) -> GaussResult:
-    """Reduce ``xors`` to reduced row-echelon form over GF(2).
-
-    ``backend`` picks the GF(2) kernel (``python`` | ``numpy`` | ``auto``);
-    unset defers to ``$REPRO_GF2_BACKEND``, then auto-detection.  The RREF
-    of a row space is unique, so the output is identical across backends.
-    """
-    matrix = BitMatrix.create(num_vars, backend=backend)
+def gaussian_eliminate(xors: list[XorClause], num_vars: int) -> GaussResult:
+    """Reduce ``xors`` to reduced row-echelon form over GF(2)."""
+    matrix = BitMatrix(num_vars)
     matrix.extend_xors(xors)
     return GaussResult.from_matrix(matrix)
 
 
-def xor_system_solutions(
-    xors: list[XorClause], num_vars: int, backend: str | None = None
-) -> int:
+def xor_system_solutions(xors: list[XorClause], num_vars: int) -> int:
     """Exact number of assignments over ``num_vars`` vars satisfying all xors."""
-    return gaussian_eliminate(xors, num_vars, backend=backend).solution_count()
+    return gaussian_eliminate(xors, num_vars).solution_count()
 
 
 def sample_xor_solution(
-    xors: list[XorClause], num_vars: int, rng, backend: str | None = None
+    xors: list[XorClause], num_vars: int, rng
 ) -> dict[int, bool] | None:
     """Uniformly sample a solution of a pure XOR system (None if UNSAT).
 
     Free variables get independent fair coin flips; pivot variables are then
     determined by back-substitution — this is exactly uniform over the
     affine solution space.  RNG consumption depends only on the pivot set,
-    which is backend-independent, so a fixed seed yields the same sample on
-    every backend.
+    which the (unique) RREF fixes.
     """
-    reduced = gaussian_eliminate(xors, num_vars, backend=backend)
+    reduced = gaussian_eliminate(xors, num_vars)
     if reduced.inconsistent:
         return None
     pivot_vars = {mask.bit_length() - 1 for mask, _ in reduced.rows}

@@ -1,96 +1,22 @@
 """The GF(2) bit-matrix kernel behind Gaussian elimination.
 
-Two interchangeable backends implement one incremental row-append API:
+Rows are Python ints used as bit masks (bit ``v`` = variable ``v``), so a
+row XOR is one arbitrary-precision int operation and the kernel needs no
+dependency.  At sampling sizes (a handful of hash rows over a few hundred
+variables) this beats a packed vectorized kernel, whose per-call dispatch
+costs more than the elimination itself.
 
-``python``
-    Rows are Python ints used as bit masks (bit ``v`` = variable ``v``) —
-    the dependency-free fallback, always available.
-``numpy``
-    Rows are packed into ``uint64`` words of a preallocated 2-D array;
-    row-XOR and pivot-column clearing are vectorized whole-matrix
-    operations.  Selected automatically when numpy is importable.
-
-The backend is chosen per :class:`BitMatrix` via the ``backend`` argument,
-the ``REPRO_GF2_BACKEND`` environment variable (``python`` | ``numpy``), or
-auto-detection, in that order.  Both backends produce the *identical*
-reduced row-echelon form (RREF is unique for a given row space), so
-switching backends never changes a witness stream — this equivalence is
-pinned by a hypothesis property suite in ``tests/test_gf2_backends.py``.
-
-Both backends append incrementally: forward elimination happens row by
-row, so callers sweeping a growing XOR system (the ``{q−3..q}`` hash-size
-window of Algorithm 1, paired with :meth:`HxorFamily.draw_matrix`
-prefixes) reuse all previously eliminated state instead of re-reducing
-from scratch at every size.
+:class:`BitMatrix` appends incrementally: forward elimination happens row
+by row, so a caller growing an XOR system reuses all previously eliminated
+state instead of re-reducing from scratch.
 
 Back-substitution touches only rows that actually contain the pivot being
-cleared — via pivot-column hit masks in the python backend and vectorized
-column selection in the numpy backend — replacing the earlier O(p²)
-all-pairs scan (see ``benchmarks/configs/innerloop.json``'s rank-500
-micro, which keeps that from regressing).
+cleared, via pivot-column hit masks, instead of an O(p²) all-pairs scan
+(see ``benchmarks/configs/innerloop.json``'s rank-500 micro, which keeps
+that from regressing).
 """
 
 from __future__ import annotations
-
-import os
-
-#: Environment variable naming the default backend (``python`` | ``numpy``).
-GF2_BACKEND_ENV = "REPRO_GF2_BACKEND"
-
-_NUMPY = None
-_NUMPY_CHECKED = False
-
-
-def _numpy():
-    """The numpy module, or ``None`` when not installed (cached probe)."""
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        _NUMPY_CHECKED = True
-        try:
-            import numpy  # noqa: PLC0415 — optional accelerator, lazy
-
-            _NUMPY = numpy
-        except ImportError:
-            _NUMPY = None
-    return _NUMPY
-
-
-def available_gf2_backends() -> list[str]:
-    """Backends usable in this interpreter (``python`` always; ``numpy``
-    when importable)."""
-    backends = ["python"]
-    if _numpy() is not None:
-        backends.append("numpy")
-    return backends
-
-
-def resolve_gf2_backend(backend: str | None = None) -> str:
-    """Resolve a backend name: explicit arg > ``REPRO_GF2_BACKEND`` > auto.
-
-    ``auto`` (the default) picks ``numpy`` when importable, else
-    ``python``.  Asking for ``numpy`` without numpy installed raises — a
-    silent fallback would report vectorized timings that never ran
-    vectorized.
-    """
-    choice = backend or os.environ.get(GF2_BACKEND_ENV) or "auto"
-    choice = choice.strip().lower()
-    if choice == "auto":
-        return "numpy" if _numpy() is not None else "python"
-    if choice == "python":
-        return "python"
-    if choice == "numpy":
-        if _numpy() is None:
-            raise ValueError(
-                "GF(2) backend 'numpy' requested "
-                f"(backend={backend!r}, ${GF2_BACKEND_ENV}="
-                f"{os.environ.get(GF2_BACKEND_ENV)!r}) but numpy is not "
-                "installed; use backend 'python' or install numpy"
-            )
-        return "numpy"
-    raise ValueError(
-        f"unknown GF(2) backend {choice!r}; expected 'python', 'numpy' "
-        "or 'auto'"
-    )
 
 
 def mask_of_vars(vars) -> int:
@@ -114,74 +40,16 @@ def vars_of_mask(mask: int) -> list[int]:
 class BitMatrix:
     """Incremental GF(2) row space in reduced row-echelon form.
 
-    Append rows as ``(mask, rhs)`` pairs (or :class:`XorClause` via
-    :meth:`append_xor`); read the state back at any time with
+    Append rows as ``(mask, rhs)`` pairs (or XOR clauses via
+    :meth:`extend_xors`); read the state back at any time with
     :meth:`reduced_rows` / :attr:`rank` / :attr:`inconsistent`.  Appends
-    after a read are fine — the eliminated state is reused, which is what
-    makes the hash-size sweep of ``core/cellsearch.py`` incremental.
-
-    Use :meth:`create` (or the module-level factory in callers) to pick a
-    backend; the subclasses are implementation detail.
-    """
-
-    backend: str = "abstract"
-
-    num_vars: int
-    inconsistent: bool
-
-    @staticmethod
-    def create(num_vars: int, backend: str | None = None) -> "BitMatrix":
-        """Build an empty matrix over variables ``1..num_vars``."""
-        resolved = resolve_gf2_backend(backend)
-        if resolved == "numpy":
-            return NumpyBitMatrix(num_vars)
-        return PythonBitMatrix(num_vars)
-
-    # -- shared conveniences -------------------------------------------
-    def append_xor(self, xor) -> None:
-        """Append an :class:`~repro.cnf.xor.XorClause`."""
-        self.append(mask_of_vars(xor.vars), 1 if xor.rhs else 0)
-
-    def extend(self, pairs) -> None:
-        """Append many ``(mask, rhs)`` rows.
-
-        Semantically identical to appending one by one; backends may
-        override it with a batched elimination (the numpy backend runs a
-        whole-matrix column sweep when starting from empty state).
-        """
-        for mask, rhs in pairs:
-            self.append(mask, rhs)
-
-    def extend_xors(self, xors) -> None:
-        self.extend(
-            (mask_of_vars(xor.vars), 1 if xor.rhs else 0) for xor in xors
-        )
-
-    # -- backend API ----------------------------------------------------
-    def append(self, mask: int, rhs: int) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    @property
-    def rank(self) -> int:  # pragma: no cover
-        raise NotImplementedError
-
-    def reduced_rows(self) -> list[tuple[int, int]]:  # pragma: no cover
-        raise NotImplementedError
-
-    def copy(self) -> "BitMatrix":  # pragma: no cover
-        raise NotImplementedError
-
-
-class PythonBitMatrix(BitMatrix):
-    """Int-mask backend: one arbitrary-precision int per row.
+    after a read are fine: the eliminated state is reused.
 
     Forward elimination is the classic cascade on the leading bit;
     back-substitution is deferred to :meth:`reduced_rows` and, per row,
     XORs only the pivot rows named by the row's *hit mask*
-    (``mask & lead_mask``) — rows without the pivot are never visited.
+    (``mask & lead_mask``); rows without the pivot are never visited.
     """
-
-    backend = "python"
 
     def __init__(self, num_vars: int):
         self.num_vars = int(num_vars)
@@ -190,6 +58,16 @@ class PythonBitMatrix(BitMatrix):
         self._pivots: dict[int, tuple[int, int]] = {}
         self._lead_mask = 0
         self._reduced: list[tuple[int, int]] | None = []
+
+    def extend(self, pairs) -> None:
+        """Append many ``(mask, rhs)`` rows."""
+        for mask, rhs in pairs:
+            self.append(mask, rhs)
+
+    def extend_xors(self, xors) -> None:
+        self.extend(
+            (mask_of_vars(xor.vars), 1 if xor.rhs else 0) for xor in xors
+        )
 
     def append(self, mask: int, rhs: int) -> None:
         self._reduced = None
@@ -214,9 +92,8 @@ class PythonBitMatrix(BitMatrix):
     def reduced_rows(self) -> list[tuple[int, int]]:
         if self._reduced is None:
             # An inconsistent system contains the row 0 = 1, which in the
-            # canonical augmented RREF clears every other RHS bit — zero
-            # them so both backends agree bit-for-bit even on UNSAT input
-            # (elimination order would otherwise leak into the RHS).
+            # canonical augmented RREF clears every other RHS bit; zero
+            # them so the result does not depend on the elimination order.
             zero_rhs = self.inconsistent
             reduced: dict[int, tuple[int, int]] = {}
             lead_mask = self._lead_mask
@@ -239,367 +116,10 @@ class PythonBitMatrix(BitMatrix):
             self._reduced = out
         return list(self._reduced)
 
-    def copy(self) -> "PythonBitMatrix":
-        clone = PythonBitMatrix(self.num_vars)
+    def copy(self) -> "BitMatrix":
+        clone = BitMatrix(self.num_vars)
         clone.inconsistent = self.inconsistent
         clone._pivots = dict(self._pivots)
         clone._lead_mask = self._lead_mask
-        clone._reduced = None if self._reduced is None else list(self._reduced)
-        return clone
-
-
-class NumpyBitMatrix(BitMatrix):
-    """Packed ``uint64`` backend: rows live in one ``(capacity, words)``
-    array and stay *fully reduced* at all times.
-
-    Appending a row does two vectorized steps: one ``bitwise_xor.reduce``
-    over the pivot rows named by the row's hit mask, then — when the row
-    survives as a new pivot — one boolean column-select + broadcast XOR
-    that clears the new pivot column from exactly the rows containing it.
-    """
-
-    backend = "numpy"
-
-    def __init__(self, num_vars: int):
-        np = _numpy()
-        if np is None:  # pragma: no cover - guarded by resolve()
-            raise ValueError("numpy backend requested but numpy is missing")
-        self._np = np
-        self.num_vars = int(num_vars)
-        self.inconsistent = False
-        self._words = (self.num_vars + 64) // 64  # bit 0 unused, bit v = var v
-        self._cap = 16
-        self._rows = np.zeros((self._cap, self._words), dtype=np.uint64)
-        self._rhs = np.zeros(self._cap, dtype=np.uint8)
-        # Pivot (word index, bit mask) per stored row — one vectorized
-        # gather against these answers "which pivots does a new row hit".
-        self._lead_word = np.zeros(self._cap, dtype=np.intp)
-        self._lead_bit = np.zeros(self._cap, dtype=np.uint64)
-        self._n = 0
-        self._reduced: list[tuple[int, int]] | None = []
-
-    def _pack(self, mask: int):
-        np = self._np
-        data = mask.to_bytes(self._words * 8, "little")
-        return np.frombuffer(data, dtype=np.uint64).copy()
-
-    def _unpack(self, row) -> int:
-        return int.from_bytes(row.tobytes(), "little")
-
-    def _grow(self) -> None:
-        np = self._np
-        n, cap = self._n, self._cap * 2
-        self._cap = cap
-        for attr, dtype, shape in (
-            ("_rows", np.uint64, (cap, self._words)),
-            ("_rhs", np.uint8, (cap,)),
-            ("_lead_word", np.intp, (cap,)),
-            ("_lead_bit", np.uint64, (cap,)),
-        ):
-            fresh = np.zeros(shape, dtype=dtype)
-            fresh[:n] = getattr(self, attr)[:n]
-            setattr(self, attr, fresh)
-
-    def append(self, mask: int, rhs: int) -> None:
-        np = self._np
-        self._reduced = None
-        rhs &= 1
-        row = self._pack(mask)
-        n = self._n
-        if n:
-            # Pivot rows whose lead column appears in the incoming row: one
-            # gather of the row's word at each pivot position, no Python
-            # loop.  The state is fully reduced, so a single XOR-reduce
-            # over the hits eliminates them all.
-            hit = (row[self._lead_word[:n]] & self._lead_bit[:n]) != 0
-            if hit.any():
-                row ^= np.bitwise_xor.reduce(self._rows[:n][hit], axis=0)
-                rhs ^= int(np.bitwise_xor.reduce(self._rhs[:n][hit])) & 1
-        nz = np.flatnonzero(row)
-        if len(nz) == 0:
-            if rhs:
-                self.inconsistent = True
-            return
-        w = int(nz[-1])
-        lead = 64 * w + int(row[w]).bit_length() - 1
-        bit = np.uint64(1 << (lead % 64))
-        # Clear the new pivot column from exactly the rows that contain it.
-        if n:
-            active = self._rows[:n]
-            sel = (active[:, w] & bit) != 0
-            if sel.any():
-                active[sel] ^= row
-                self._rhs[:n][sel] ^= np.uint8(rhs)
-        if n == self._cap:
-            self._grow()
-        self._rows[n] = row
-        self._rhs[n] = rhs
-        self._lead_word[n] = w
-        self._lead_bit[n] = bit
-        self._n = n + 1
-
-    def extend(self, pairs) -> None:
-        """Batched append: blocked elimination when starting empty.
-
-        The packed block carries the RHS in the otherwise-unused bit 0 of
-        word 0 (variables are 1-based), so every row XOR moves mask and
-        RHS in a single vectorized op.  Three phases keep the memory
-        traffic well below a naive Gauss-Jordan column sweep:
-
-        1. a *forward-only* sweep over a rank-sized chunk of rows — each
-           pivot column is cleared from not-yet-pivoted rows only, and
-           only up to the current word (rows below the pivot frontier are
-           provably zero above the current column);
-        2. back-substitution of the chunk's pivots in ascending groups of
-           eight, each group applied to the rows above it through a
-           256-entry XOR-combination table (four-Russians style) instead
-           of one scatter per pivot;
-        3. the remaining (redundant) rows reduce against the finished
-           basis with the same grouped tables — two passes over the data
-           per eight pivots, which is where over-determined systems gain
-           the most over the per-row cascade of the python backend.
-
-        Rank-deficient chunks leave survivors; the loop sweeps those into
-        the basis and repeats until every row is consumed.  With rows
-        already present the batch falls back to incremental appends (the
-        cell-search sweep appends one row at a time anyway).
-        """
-        pairs = list(pairs)
-        if self._n or self.inconsistent or not pairs:
-            for mask, rhs in pairs:
-                self.append(mask, rhs)
-            return
-        np = self._np
-        self._reduced = None
-        m = len(pairs)
-        words = self._words
-        one = np.uint64(1)
-        block = np.frombuffer(
-            b"".join(mask.to_bytes(words * 8, "little") for mask, _ in pairs),
-            dtype=np.uint64,
-        ).reshape(m, words).copy()
-        # RHS rides in bit 0 of word 0 (no variable 0 exists).
-        block[:, 0] &= ~one
-        block[:, 0] |= np.fromiter(
-            ((rhs & 1) for _, rhs in pairs), dtype=np.uint64, count=m
-        )
-        basis_idx: list[int] = []  # block row index per settled pivot
-        basis_leads: list[tuple[int, int]] = []  # (word, in-word bit mask)
-        live = np.arange(m)
-        while live.size:
-            if basis_idx:
-                self._table_reduce(block, live, basis_idx, basis_leads)
-                sub = block[live]  # fancy indexing copies; safe to edit
-                sub[:, 0] &= ~one
-                alive = sub.any(axis=1)
-                dead = live[~alive]
-                if dead.size and bool((block[dead, 0] & one).any()):
-                    self.inconsistent = True  # the row 0 = 1 survived
-                live = live[alive]
-                if not live.size:
-                    break
-            take = min(live.size, self.num_vars - len(basis_idx) + 64)
-            chunk, live = live[:take], live[take:]
-            new_piv, new_leads, nonpiv = self._forward_sweep(block, chunk)
-            if nonpiv.size and bool((block[nonpiv, 0] & one).any()):
-                self.inconsistent = True
-            if new_piv:
-                self._back_substitute(block, new_piv, new_leads)
-                if basis_idx:
-                    # Settled rows may carry the new leads in their tails.
-                    self._table_reduce(
-                        block, np.asarray(basis_idx), new_piv, new_leads
-                    )
-                basis_idx.extend(new_piv)
-                basis_leads.extend(new_leads)
-        n_pivots = len(basis_idx)
-        while self._cap < n_pivots:
-            self._grow()
-        if n_pivots:
-            settled = block[np.asarray(basis_idx)]
-            rhs_bits = settled[:, 0] & one
-            settled[:, 0] &= ~one
-            self._rows[:n_pivots] = settled
-            self._rhs[:n_pivots] = rhs_bits.astype(np.uint8)
-            for idx, (w, bit) in enumerate(basis_leads):
-                self._lead_word[idx] = w
-                self._lead_bit[idx] = bit
-        self._n = n_pivots
-
-    def _forward_sweep(self, block, chunk):
-        """Forward-eliminate ``block[chunk]`` in place; no back-subst.
-
-        Returns ``(pivots, leads, nonpivots)`` — pivot row indices into
-        ``block`` in descending lead order, their ``(word, bit)`` leads,
-        and the chunk rows that reduced to zero (mod the RHS bit).
-        """
-        np = self._np
-        cn = chunk.size
-        # First round the chunk is 0..cn-1 and local positions ARE block
-        # rows — skip the per-column index gather in that case.
-        identity = bool(chunk[0] == 0 and chunk[cn - 1] == cn - 1)
-        is_piv = np.zeros(cn, dtype=bool)
-        piv: list[int] = []
-        leads: list[tuple[int, int]] = []
-        npiv = 0
-        done = False
-        for w in range(self._words - 1, -1, -1):
-            if done:
-                break
-            hb = min(63, self.num_vars - 64 * w)
-            lb = 1 if w == 0 else 0  # bit 0 of word 0 is the RHS
-            # One strided gather per word; pivot rows are masked out so
-            # candidate detection needs no per-column bool filtering.
-            colw = block[chunk, w]
-            if npiv:
-                colw[is_piv] = 0
-            if not colw.any():
-                continue
-            for b in range(hb, lb - 1, -1):
-                bit = np.uint64(1 << b)
-                cand = (colw & bit).nonzero()[0]
-                if cand.size == 0:
-                    continue
-                p = int(cand[0])
-                gr = int(chunk[p])
-                upd = cand[1:]
-                if upd.size:
-                    # Forward-only and word-prefix-only: every candidate
-                    # row (pivot included) is zero above this column, and
-                    # word 0 carries the RHS along for free.
-                    gupd = upd if identity else chunk[upd]
-                    block[gupd, : w + 1] ^= block[gr, : w + 1]
-                    colw[upd] ^= colw[p]
-                is_piv[p] = True
-                colw[p] = 0
-                piv.append(gr)
-                leads.append((w, 1 << b))
-                npiv += 1
-                if npiv == cn:
-                    done = True
-                    break
-        return piv, leads, chunk[~is_piv]
-
-    def _back_substitute(self, block, piv, leads) -> None:
-        """Turn forward-eliminated pivot rows into RREF, in place.
-
-        ``piv``/``leads`` come in descending lead order; groups of eight
-        are settled from the lowest lead up — a tiny in-group cascade on
-        unpacked ints, then one grouped-table application to all rows
-        above the group.
-        """
-        np = self._np
-        g_end = len(piv)
-        while g_end > 0:
-            g_start = max(0, g_end - 8)
-            gpiv = piv[g_start:g_end]
-            gleads = leads[g_start:g_end]
-            self._ingroup_reduce(block, gpiv, gleads)
-            if g_start:
-                self._table_reduce(
-                    block, np.asarray(piv[:g_start]), gpiv, gleads
-                )
-            g_end = g_start
-
-    def _ingroup_reduce(self, block, gpiv, gleads) -> None:
-        """Fully reduce ≤8 forward-eliminated rows against each other.
-
-        Eight rows are too few to vectorize profitably — unpacking to
-        Python ints costs two bulk byte copies per row and the cascade
-        itself is ~30 bit tests, versus ~30 numpy dispatches otherwise.
-        """
-        np = self._np
-        nbytes = self._words * 8
-        rows = [int.from_bytes(block[i].tobytes(), "little") for i in gpiv]
-        for j in range(len(gpiv) - 1, 0, -1):
-            w, bt = gleads[j]
-            lead_bit = bt << (64 * w)
-            rj = rows[j]
-            for i in range(j):
-                if rows[i] & lead_bit:
-                    rows[i] ^= rj
-        for val, gi in zip(rows, gpiv):
-            block[gi] = np.frombuffer(
-                val.to_bytes(nbytes, "little"), dtype=np.uint64
-            )
-
-    def _table_reduce(self, block, rows_idx, basis_idx, basis_leads) -> None:
-        """Reduce ``block[rows_idx]`` against a fully-reduced basis.
-
-        Four-Russians style: per group of eight basis rows, build the 256
-        XOR-combinations by doubling, read each target row's 8-bit hit
-        pattern straight off the lead columns, and apply the whole group
-        with one table gather + one in-place XOR — two passes over the
-        target rows per eight pivots instead of eight scatters.
-        """
-        np = self._np
-        one = np.uint64(1)
-        n_rows = rows_idx.size
-        if not n_rows:
-            return
-        for g in range(0, len(basis_idx), 8):
-            # Ascending-lead order inside the group: when the leads are
-            # consecutive bits of one word (the common dense case) the
-            # whole hit pattern is a single shift-and-mask.
-            gpiv = basis_idx[g : g + 8][::-1]
-            gleads = basis_leads[g : g + 8][::-1]
-            k = len(gpiv)
-            grows = block[np.asarray(gpiv)]
-            table = np.zeros((1 << k, self._words), dtype=np.uint64)
-            for j in range(k):
-                table[1 << j : 2 << j] = table[: 1 << j] ^ grows[j]
-            w0, b0 = gleads[0]
-            s0 = b0.bit_length() - 1
-            if all(
-                w == w0 and bt.bit_length() - 1 == s0 + j
-                for j, (w, bt) in enumerate(gleads)
-            ):
-                col = block[rows_idx, w0]
-                pattern = (col >> np.uint64(s0)) & np.uint64((1 << k) - 1)
-            else:
-                pattern = np.zeros(n_rows, dtype=np.uint64)
-                cache: dict[int, object] = {}
-                for j, (w, bt) in enumerate(gleads):
-                    col = cache.get(w)
-                    if col is None:
-                        col = block[rows_idx, w]
-                        cache[w] = col
-                    shift = np.uint64(bt.bit_length() - 1)
-                    pattern |= ((col >> shift) & one) << np.uint64(j)
-            if pattern.any():
-                block[rows_idx] ^= table[pattern]
-
-    @property
-    def rank(self) -> int:
-        return self._n
-
-    def reduced_rows(self) -> list[tuple[int, int]]:
-        if self._reduced is None:
-            # Same canonicalization as the python backend: an inconsistent
-            # system's 0 = 1 row clears every RHS bit in augmented RREF.
-            zero_rhs = self.inconsistent
-            rows = [
-                (
-                    self._unpack(self._rows[idx]),
-                    0 if zero_rhs else int(self._rhs[idx]),
-                )
-                for idx in range(self._n)
-            ]
-            rows.sort(key=lambda pair: pair[0].bit_length())
-            self._reduced = rows
-        return list(self._reduced)
-
-    def copy(self) -> "NumpyBitMatrix":
-        clone = NumpyBitMatrix.__new__(NumpyBitMatrix)
-        clone._np = self._np
-        clone.num_vars = self.num_vars
-        clone.inconsistent = self.inconsistent
-        clone._words = self._words
-        clone._cap = self._cap
-        clone._rows = self._rows.copy()
-        clone._rhs = self._rhs.copy()
-        clone._lead_word = self._lead_word.copy()
-        clone._lead_bit = self._lead_bit.copy()
-        clone._n = self._n
         clone._reduced = None if self._reduced is None else list(self._reduced)
         return clone

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.bench import runner as bench_runner
 from repro.bench.runner import (
     ALGORITHMS,
     BenchRow,
@@ -66,6 +65,16 @@ class TestConfigLoading:
         data = {"algorithms": [{"name": "gf2-elim", "parameters": TINY}]}
         assert load_config(write_config(tmp_path, data)) == data
 
+    def test_unknown_requirement_rejected(self, tmp_path):
+        """Blocks cannot be gated on requirements: a block that names one
+        fails to load instead of running unconditionally."""
+        path = write_config(tmp_path, {"algorithms": [
+            {"name": "gf2-elim", "parameters": dict(TINY),
+             "requires": ["cuda"]},
+        ]})
+        with pytest.raises(ValueError, match="unknown keys \\['requires'\\]"):
+            load_config(path)
+
 
 class TestParamGrid:
     def test_empty_sweep_is_the_defaults(self):
@@ -114,63 +123,26 @@ class TestRunConfig:
         with (tmp_path / "gf2-elim.csv").open(newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
 
-    def test_requires_numpy_block_skipped_without_numpy(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(
-            bench_runner, "available_gf2_backends", lambda: ["python"]
-        )
-        config = {
-            "algorithms": [
-                {"name": "gf2-elim", "parameters": dict(TINY),
-                 "requires": ["numpy"]},
-            ]
-        }
-        messages = []
-        rows = run_config(config, out_dir=tmp_path, log=messages.append)
-        assert rows == []
-        assert not (tmp_path / "gf2-elim.csv").exists()
-        assert any("numpy not installed" in msg for msg in messages)
-
-    def test_unknown_requirement_rejected(self, tmp_path):
-        config = {
-            "algorithms": [
-                {"name": "gf2-elim", "parameters": dict(TINY),
-                 "requires": ["cuda"]},
-            ]
-        }
-        with pytest.raises(ValueError, match="unknown requirement"):
-            run_config(config, out_dir=tmp_path)
 
 
 class TestEmitTrajectory:
-    def pair(self, backend, wall_s):
-        params = dict(ALGORITHMS["gf2-elim"].defaults)
-        params["backend"] = backend
+    def gf2_point(self, wall_s):
         return BenchRow(
-            "gf2-elim", params, {"wall_s": wall_s, "rank": 500,
-                                 "rows_per_s": 1.0}
+            "gf2-elim", dict(ALGORITHMS["gf2-elim"].defaults),
+            {"wall_s": wall_s, "rank": 500, "rows_per_s": 1.0},
         )
 
-    def test_speedups_pair_python_with_numpy(self, tmp_path):
-        rows = [self.pair("python", 0.4), self.pair("numpy", 0.1)]
+    def test_unpaired_points_yield_no_speedup(self, tmp_path):
+        rows = [self.gf2_point(0.4), self.bsat_point("fresh", 0.9)]
         artifact = emit_trajectory(rows, tmp_path / "BENCH.json", "cfg.json")
         assert len(artifact["points"]) == 2
-        (pair,) = artifact["speedups"]
-        assert pair["speedup"] == 4.0
-        assert pair["python_wall_s"] == 0.4
-        assert pair["numpy_wall_s"] == 0.1
+        assert artifact["bsat_speedups"] == []
         # The artifact on disk parses back to the same structure.
         assert json.loads((tmp_path / "BENCH.json").read_text()) == artifact
 
-    def test_unpaired_points_yield_no_speedup(self, tmp_path):
-        rows = [self.pair("python", 0.4)]
-        artifact = emit_trajectory(rows, tmp_path / "BENCH.json")
-        assert artifact["speedups"] == []
-
     def test_skipped_rows_counted_not_listed(self, tmp_path):
         rows = [
-            self.pair("python", 0.4),
+            self.gf2_point(0.4),
             BenchRow("gf2-elim", {}, {}, skipped=True),
         ]
         artifact = emit_trajectory(rows, tmp_path / "BENCH.json")
@@ -208,8 +180,9 @@ class TestEmitTrajectory:
 
 
 class TestCommittedArtifact:
-    """The committed BENCH_innerloop.json must carry the measured >=2x
-    rank-500 evidence the back-substitution fix is gated on."""
+    """The committed BENCH_innerloop.json must carry the measured rank-500
+    elimination points the back-substitution fix is gated on, and the
+    fresh-vs-session BSAT pairs."""
 
     def test_artifact_shape_and_headline(self):
         from pathlib import Path
@@ -219,10 +192,12 @@ class TestCommittedArtifact:
         assert artifact["bench"] == "innerloop"
         assert artifact["points"], "artifact must contain measured points"
         rank500 = [
-            pair for pair in artifact["speedups"] if pair["rows"] >= 500
+            point for point in artifact["points"]
+            if point["algorithm"] == "gf2-elim" and point["rank"] >= 500
         ]
-        assert rank500, "artifact must contain rank-500 python/numpy pairs"
-        assert max(pair["speedup"] for pair in rank500) >= 2.0
+        assert rank500, "artifact must contain rank-500 gf2-elim points"
+        assert all(point["wall_s"] > 0 for point in rank500)
+        assert "speedups" not in artifact
 
     def test_artifact_carries_the_solver_reuse_headline(self):
         from pathlib import Path

@@ -432,7 +432,7 @@ class TestDistributedDeterminism:
         real_run = dworker.run_chunk
         calls = {"n": 0}
 
-        def oom_once(task):
+        def oom_once(task, state):
             calls["n"] += 1
             if calls["n"] == 1:  # first attempt: worker-local failure
                 return {
@@ -441,7 +441,7 @@ class TestDistributedDeterminism:
                     "error": {"type": "MemoryError", "message": "oom",
                               "traceback": "…", "retryable": True},
                 }
-            return real_run(task)
+            return real_run(task, state)
 
         monkeypatch.setattr(dworker, "run_chunk", oom_once)
         worker_report = run_worker(

@@ -27,6 +27,7 @@ from repro.api import (
     sample_parallel,
 )
 from repro.cnf import exactly_k_solutions_formula
+from repro.core.base import SampleResult
 from repro.distributed import FakeClock, InMemoryBroker, run_worker
 from repro.errors import WorkerFailure
 from repro.execution import (
@@ -256,6 +257,48 @@ class TestStreamDeterminism:
         assert report.root_seed == 2014
 
 
+class TestSerialIsolation:
+    """Serial plans in one process never share a formula.
+
+    The gateway runs serial groups concurrently in one process; here two
+    plans for formulas with disjoint witness sets are stepped alternately
+    in one thread, one witness per chunk, so every chunk after the first
+    runs right after a chunk of the other plan.
+    """
+
+    N = 4
+
+    def _plan(self, cnf, seed):
+        config = SamplerConfig(seed=seed)
+        artifact = prepare(cnf, config)
+        return build_plan(
+            artifact, self.N, config, sampler="unigen", chunk_size=1
+        )
+
+    def test_interleaved_plans_draw_from_their_own_formula(self):
+        low = exactly_k_solutions_formula(5, 8)  # vars 1, 2 false
+        low.sampling_set = range(1, 6)
+        high = low.copy()  # the mirror image: vars 1, 2 true
+        high.clauses = [
+            tuple(-lit for lit in clause) for clause in low.clauses
+        ]
+        streams = [
+            (cnf, SerialBackend().run_plan(self._plan(cnf, seed)))
+            for cnf, seed in ((low, 1), (high, 2))
+        ]
+        checked = 0
+        for _ in range(self.N):
+            for cnf, stream in streams:
+                raw = next(stream)
+                assert raw["error"] is None, raw["error"]
+                for data in raw["results"]:
+                    witness = SampleResult.from_dict(data).witness
+                    assert witness is not None
+                    assert cnf.evaluate(witness), (cnf.name, witness)
+                    checked += 1
+        assert checked == 2 * self.N
+
+
 class TestStreamingStats:
     def test_stream_stats_accumulate_incrementally(self, plan, reference):
         backend = SerialBackend()
@@ -304,16 +347,16 @@ class TestBrokerBackendWindow:
         spec = broker.submit(plan.payload, list(plan.tasks))
         # One inline worker computes everything up front, acking in
         # reverse chunk order — worst case for the reorder buffer.
-        from repro.parallel.worker import init_worker, run_chunk
+        from repro.parallel.worker import WorkerState, run_chunk
 
-        init_worker(plan.payload)
+        state = WorkerState(plan.payload)
         leases = []
         while (lease := broker.lease("adversary")) is not None:
             leases.append(lease)
         for lease in sorted(
             leases, key=lambda l: l.chunk_index, reverse=True
         ):
-            broker.ack(lease, run_chunk(lease.task))
+            broker.ack(lease, run_chunk(lease.task, state))
         raws = []
         for raw in backend.stream_spec(spec):
             assert backend.in_flight <= 3

@@ -383,7 +383,7 @@ class TestFailurePropagation:
         # far beyond the cap (0.5 s), so scheduling jitter can only make
         # the chunk *more* timed out.
         monkeypatch.setattr(
-            "repro.execution.pool.run_chunk", _blocking_chunk
+            "repro.execution.pool.run_pooled_chunk", _blocking_chunk
         )
         start = time.monotonic()
         with pytest.raises(BudgetExhausted, match="chunk_timeout_s"):

@@ -356,6 +356,76 @@ class TestWriterGuards:
             DimacsWitnessWriter(path, resume=True)
 
 
+#: The config a default ``--sampler unigen2 --seed 7`` run recorded before
+#: the ``solver_reuse``, ``matrix_reuse`` and ``gf2_backend`` knobs were
+#: retired.
+PARENT_ERA_CONFIG = {
+    "approxmc_iterations": 9, "approxmc_search": "galloping",
+    "bsat_timeout_s": 60.0, "bucket": 32, "enum_limit": 200000,
+    "epsilon": 6.0, "gf2_backend": None, "hash_density": 0.5,
+    "leapfrog": False, "matrix_reuse": False, "max_cell": 10000,
+    "max_conflicts": None, "max_retries_per_cell": 20,
+    "sampling_set": None, "seed": 7, "solver_reuse": False,
+    "xor_count": None,
+}
+
+
+def _write_parent_era_manifest(out, **config) -> None:
+    """Replace ``out``'s manifest with a hand-written parent-era one for
+    the same formula, mid-run, its config overridden by ``config``."""
+    path = manifest_path(out)
+    formula_hash = json.loads(path.read_text())["formula_hash"]
+    path.write_text(json.dumps({
+        "chunk_size": 3, "config": {**PARENT_ERA_CONFIG, **config},
+        "formula_hash": formula_hash, "n": 12, "n_chunks": 4,
+        "out_format": "jsonl", "root_seed": 7, "sampler": "unigen2",
+        "schema_version": 1, "status": "running",
+    }))
+
+
+class TestRetiredConfigKeys:
+    """Manifests written before the retired knobs were deleted."""
+
+    def _cut_run(self, cnf_path, tmp_path, **config):
+        out = tmp_path / "w.jsonl"
+        assert main(_sample_args(cnf_path, out)) == 0
+        reference = out.read_bytes()
+        out.write_bytes(reference[: reference.find(b'{"chunk":2') + 7])
+        _write_parent_era_manifest(out, **config)
+        return out, reference
+
+    @pytest.mark.parametrize("config", [
+        {},
+        {"solver_reuse": True, "gf2_backend": "numpy"},
+    ], ids=["defaults", "stream-neutral-knobs-set"])
+    def test_stream_neutral_keys_resume(self, cnf_path, tmp_path, capsys,
+                                        config):
+        out, reference = self._cut_run(cnf_path, tmp_path, **config)
+        assert main(["sample", str(cnf_path), "--sampler", "unigen2",
+                     "--resume", str(out)]) == 0
+        assert out.read_bytes() == reference
+        assert RunManifest.load(manifest_path(out)).status == "complete"
+
+    def test_matrix_reuse_stream_is_refused(self, cnf_path, tmp_path,
+                                            capsys):
+        out, _ = self._cut_run(cnf_path, tmp_path, matrix_reuse=True)
+        capsys.readouterr()
+        assert main(["sample", str(cnf_path), "--sampler", "unigen2",
+                     "--resume", str(out)]) == 2
+        assert "config.matrix_reuse" in capsys.readouterr().err
+        manifest = RunManifest.load(manifest_path(out))
+        live = {k: v for k, v in PARENT_ERA_CONFIG.items()
+                if k not in ("solver_reuse", "matrix_reuse", "gf2_backend")}
+        with pytest.raises(ManifestMismatch, match="matrix_reuse") as info:
+            manifest.validate_against(
+                formula_hash=manifest.formula_hash, sampler="unigen2",
+                config=live,
+            )
+        assert info.value.mismatches == [
+            "config.matrix_reuse: manifest=True live=False"
+        ]
+
+
 # ---------------------------------------------------------------------------
 class TestResumeCli:
     def test_fresh_out_run_writes_a_complete_manifest(self, cnf_path,

@@ -1,13 +1,15 @@
-"""Incremental CDCL sessions (``SolverSession``) vs fresh-solver BSAT.
+"""Incremental CDCL sessions (``SolverSession``) vs one-shot ``bsat()``.
 
-The session keeps one solver alive across every BSAT call of a sweep,
+The cell search keeps one solver alive across every BSAT call of a sweep,
 installing each cell's hash rows as a releasable XOR group.  Releasing a
 group must be a *perfect* undo of its constraints: the next cell's model
-set has to match what a fresh solver over base ∧ rows would enumerate.
-These tests pin that equivalence (hypothesis-driven), the end-to-end
-fixed-seed determinism of ``--solver-reuse`` across ``--jobs`` counts,
-and the budget-slicing contract (per-call slices layered under a shared
-session allowance).
+set has to match what :func:`~repro.sat.enumerate.bsat` on a fresh solver
+over base ∧ rows would enumerate.  These tests pin that equivalence
+(hypothesis-driven, with ``bsat()`` as the reference), the end-to-end
+fixed-seed determinism of session sampling across ``--jobs`` counts, the
+sampler stream against a ``bsat()``-driven cell search, and the
+budget-slicing contract (per-call slices layered under a shared session
+allowance).
 """
 
 import pytest
@@ -244,7 +246,7 @@ class TestBudgetSlicing:
 
 
 class TestEndToEndDeterminism:
-    """``solver_reuse=True`` streams are jobs-invariant and pass the gate."""
+    """Session-solved streams are jobs-invariant and pass the gate."""
 
     N_DRAWS = 400
     K_SOLUTIONS = 20
@@ -253,7 +255,7 @@ class TestEndToEndDeterminism:
     def instance(self):
         cnf = exactly_k_solutions_formula(6, self.K_SOLUTIONS)
         cnf.sampling_set = range(1, 7)
-        config = SamplerConfig(seed=2014, solver_reuse=True)
+        config = SamplerConfig(seed=2014)
         return cnf, config, prepare(cnf, config)
 
     def _run(self, instance, jobs):
@@ -294,6 +296,20 @@ class TestEndToEndDeterminism:
             assert key in stats
 
 
+class OneShotSession:
+    """A stand-in for ``SolverSession`` that solves every cell with a
+    fresh one-shot ``bsat()`` over the conjoined formula."""
+
+    def __init__(self, cnf):
+        self._cnf = cnf
+
+    def bsat(self, xors, bound, sampling_set=None, budget=None):
+        return bsat(
+            self._cnf.conjoined_with(xors=xors), bound,
+            sampling_set=sampling_set, budget=budget,
+        )
+
+
 class TestStreamEquality:
     """Session solving draws exactly the fresh-solver stream.
 
@@ -303,13 +319,14 @@ class TestStreamEquality:
     """
 
     @pytest.mark.parametrize("name", ["case121", "s1196a_7_4"])
-    def test_solver_reuse_draws_the_fresh_stream(self, name):
+    def test_solver_reuse_draws_the_fresh_stream(self, name, monkeypatch):
         cnf = suite_build(name).cnf
         artifact = prepare(cnf, SamplerConfig(seed=11))
-        streams = []
-        for reuse in (False, True):
-            config = SamplerConfig(seed=11, solver_reuse=reuse)
-            sampler = make_sampler("unigen", artifact, config)
-            streams.append(sampler.sample_many(30))
-        assert any(w is not None for w in streams[0])
-        assert streams[0] == streams[1]
+        config = SamplerConfig(seed=11)
+        session = make_sampler("unigen", artifact, config).sample_many(30)
+        monkeypatch.setattr(
+            "repro.core.cellsearch.SolverSession", OneShotSession
+        )
+        fresh = make_sampler("unigen", artifact, config).sample_many(30)
+        assert any(w is not None for w in fresh)
+        assert session == fresh

@@ -1,6 +1,11 @@
 """UniGen functional tests (statistical guarantees live in
 test_unigen_guarantees.py)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cnf import CNF, exactly_k_solutions_formula, random_ksat
@@ -149,3 +154,33 @@ class TestBudgets:
             pass
         # Either it coped (some retries) or the budget was generous enough.
         assert sampler.stats.bsat_timeouts >= 0
+
+
+NO_NUMPY_DRAWS = """
+import sys
+from repro.api import SamplerConfig, make_sampler, prepare
+from repro.suite import build
+
+config = SamplerConfig(seed=1)
+artifact = prepare(build("case121").cnf, config)
+draws = make_sampler("unigen", artifact, config).sample_many(3)
+assert artifact.q is not None and any(w is not None for w in draws)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+class TestImports:
+    def test_hashed_sampling_never_imports_numpy(self):
+        """Prepare (ApproxMC) plus hashed UniGen draws stay numpy-free, so
+        no user pays its import time or memory for sampling."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_DRAWS],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"

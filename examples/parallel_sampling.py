@@ -15,12 +15,8 @@ Run:  python examples/parallel_sampling.py
 """
 
 from repro.cnf import exactly_k_solutions_formula
-from repro.api import (
-    ParallelSamplerConfig,
-    SamplerConfig,
-    prepare,
-    sample_parallel,
-)
+from repro.api import SamplerConfig, prepare
+from repro.execution import build_plan, make_backend
 from repro.stats import uniformity_gate, witness_key
 
 # --- 1. A formula with exactly 20 witnesses over 6 sampling variables ------
@@ -33,14 +29,11 @@ config = SamplerConfig(epsilon=6.0, seed=42)
 artifact = prepare(cnf, config)
 print(f"prepared: {artifact.describe()}")
 
-# --- 3. Fan out: the serialized artifact ships to every worker -------------
+# --- 3. Fan out: one chunk plan, run inline and on a 4-process pool --------
 N = 600
-serial = sample_parallel(
-    artifact, N, config, ParallelSamplerConfig(jobs=1, sampler="unigen")
-)
-pooled = sample_parallel(
-    artifact, N, config, ParallelSamplerConfig(jobs=4, sampler="unigen")
-)
+plan = build_plan(artifact, N, config, sampler="unigen")
+serial = make_backend("serial").collect(plan)
+pooled = make_backend("pool", jobs=4).collect(plan)
 print(f"jobs=1: {serial.describe()}")
 print(f"jobs=4: {pooled.describe()}")
 

@@ -62,9 +62,6 @@ def __getattr__(name):  # pragma: no cover - thin lazy-import shim
         "make_sampler": "repro.api",
         "available_samplers": "repro.api",
         "register_sampler": "repro.api",
-        "ParallelSamplerConfig": "repro.parallel",
-        "ParallelSampleReport": "repro.parallel",
-        "sample_parallel": "repro.parallel",
         "ApproxMC": "repro.counting",
         "ExactCounter": "repro.counting",
         "Solver": "repro.sat",
@@ -74,7 +71,7 @@ def __getattr__(name):  # pragma: no cover - thin lazy-import shim
         "find_independent_support": "repro.support",
         "build_plan": "repro.execution",
         "make_backend": "repro.execution",
-        "sample_stream": "repro.execution",
+        "SampleReport": "repro.execution",
         "StreamSink": "repro.sinks",
         "compose": "repro.sinks",
         "run_stream": "repro.sinks",

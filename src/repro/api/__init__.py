@@ -21,15 +21,14 @@ and shared by any number of samplers — none of which re-run ApproxMC.
 hash size and timing), ``sample_batch()``, ``sample_until(n)`` and
 ``iter_samples()``.
 
-The per-sample phase also fans out over a process pool
-(:mod:`repro.parallel`, re-exported here): ``sample_parallel(pf, n,
-config, ParallelSamplerConfig(jobs=8))`` draws the same witness stream as
-a serial run of the same root seed, merged into an ordered
-:class:`ParallelSampleReport`.
+Chunked runs of the per-sample phase — inline, over a process pool, or
+through a broker — go through :mod:`repro.execution`:
+``make_backend("pool", jobs=8).collect(build_plan(pf, n, config))`` draws
+the same witness stream as a serial run of the same root seed, merged
+into an ordered :class:`~repro.execution.SampleReport`.
 """
 
 from ..core.base import SampleResult, SamplerStats, Witness, WitnessSampler
-from ..parallel import ParallelSamplerConfig, ParallelSampleReport, sample_parallel
 from .config import SamplerConfig
 from .prepared import PREPARED_FORMAT_VERSION, PreparedFormula, prepare
 from .registry import (
@@ -42,9 +41,6 @@ from .registry import (
 
 __all__ = [
     "SamplerConfig",
-    "ParallelSamplerConfig",
-    "ParallelSampleReport",
-    "sample_parallel",
     "PreparedFormula",
     "PREPARED_FORMAT_VERSION",
     "prepare",

@@ -46,8 +46,10 @@ class SamplerConfig:
 
     How cells are solved is not a knob: every window sweep runs on one
     incremental solver session (see :mod:`repro.core.cellsearch`).
-    Configs saved with the retired ``solver_reuse``, ``matrix_reuse`` or
-    ``gf2_backend`` keys still load; :meth:`from_dict` drops them.
+    Configs saved with the retired ``solver_reuse`` or ``gf2_backend``
+    keys, or with ``matrix_reuse: false``, still load; :meth:`from_dict`
+    drops them.  ``matrix_reuse: true`` named a different witness stream,
+    which this version cannot draw, so it is refused.
 
     Baselines
     ---------
@@ -102,7 +104,17 @@ class SamplerConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SamplerConfig":
         """Build a config from a dict, ignoring unknown keys (so configs
-        saved by newer versions still load)."""
+        saved by newer versions still load).
+
+        Raises ``ValueError`` for ``matrix_reuse: true``: a plan payload or
+        broker job asking for that retired stream must fail, not be drawn
+        silently with a different one.
+        """
+        if data.get("matrix_reuse"):
+            raise ValueError(
+                "config asks for matrix_reuse=True, a retired cell search "
+                "whose witness stream this version cannot draw"
+            )
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in data.items() if k in known}
         if kwargs.get("sampling_set") is not None:

@@ -168,23 +168,21 @@ def _run_unigen_sweep(params: dict) -> dict:
     n = int(params["n"])
     jobs = int(params["jobs"])
     if jobs > 1:
-        from ..parallel import ParallelSamplerConfig, sample_parallel
+        from ..execution import build_plan, make_backend
 
+        # The plan runs lines 1–11 once in this process, so its build is
+        # the prepare cost, exactly as sampler.prepare() is below.
         start = time.perf_counter()
-        report = sample_parallel(
-            instance.cnf,
-            n,
-            config,
-            ParallelSamplerConfig(
-                jobs=jobs,
-                sampler=params["sampler"],
-                window=params["window"] or None,
-            ),
+        plan = build_plan(instance.cnf, n, config, sampler=params["sampler"])
+        prepare_s = time.perf_counter() - start
+        backend = make_backend(
+            "pool", jobs=jobs, window=params["window"] or None
         )
-        wall = time.perf_counter() - start
+        start = time.perf_counter()
+        report = backend.collect(plan)
+        wall = prepare_s + (time.perf_counter() - start)
         witnesses = len(report.witnesses)
         stats = report.stats
-        prepare_s = stats.setup_time_seconds
     else:
         sampler = make_sampler(params["sampler"], instance.cnf, config)
         start = time.perf_counter()

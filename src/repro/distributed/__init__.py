@@ -2,26 +2,27 @@
 
 The per-sample phase of Algorithm 1 is embarrassingly parallel once the
 once-per-formula phase has produced the
-:class:`~repro.api.prepared.PreparedFormula`.  PR 2 fanned it over a local
-process pool; this package lifts the same chunk plan onto a broker so
-independent ``repro worker`` processes — same host or shared filesystem —
-can pull work, with leases, heartbeats, and lost-chunk retry::
+:class:`~repro.api.prepared.PreparedFormula`.  This package puts the
+chunk plan of :func:`repro.execution.build_plan` onto a broker so
+independent ``repro worker`` processes — same host, shared filesystem, or
+a TCP ``repro brokerd`` — can pull work, with leases, heartbeats, and
+lost-chunk retry.  The broker execution backend submits the plan and
+streams the acked chunks back in order::
 
-    from repro.api import SamplerConfig, prepare
-    from repro.distributed import FileBroker, sample_distributed
+    from repro.api import SamplerConfig
+    from repro.distributed import FileBroker
+    from repro.execution import build_plan, make_backend
 
-    broker = FileBroker("/var/spool/repro")        # workers watch this dir
-    report = sample_distributed(
-        broker, prepare(cnf, SamplerConfig(seed=42)), 1000,
-        SamplerConfig(seed=42), sampler="unigen2",
-    )
+    plan = build_plan(cnf, 1000, SamplerConfig(seed=42), sampler="unigen2")
+    backend = make_backend("broker", broker=FileBroker("/var/spool/repro"))
+    backend.submit_plan(plan)           # then start `repro worker`s
+    report = backend.collect(plan)
 
-The headline guarantee carries over from the pool engine: a chunk is
-re-issued after a crash *with its original derived seed*, so the merged
-witness stream is bit-identical to a single-process run regardless of
-worker count, failures, or arrival order.  See
-:mod:`repro.distributed.broker` for the queue semantics and
-:mod:`repro.distributed.coordinator` for the submit/collect halves.
+The headline guarantee is the pool's: a chunk is re-issued after a crash
+*with its original derived seed*, so the merged witness stream is
+bit-identical to a single-process run regardless of worker count,
+failures, or arrival order.  See :mod:`repro.distributed.broker` for the
+queue semantics and :mod:`repro.distributed.worker` for the worker loop.
 """
 
 from .broker import (
@@ -32,12 +33,6 @@ from .broker import (
     Lease,
 )
 from .clock import FakeClock, wall_clock
-from .coordinator import (
-    SubmittedJob,
-    sample_distributed,
-    submit_job,
-    wait_for_report,
-)
 from .filebroker import FileBroker
 from .tcpbroker import BrokerServer, TcpBroker, connect_broker
 from .worker import WorkerReport, default_worker_id, run_worker
@@ -54,10 +49,6 @@ __all__ = [
     "Lease",
     "FakeClock",
     "wall_clock",
-    "SubmittedJob",
-    "submit_job",
-    "wait_for_report",
-    "sample_distributed",
     "run_worker",
     "WorkerReport",
     "default_worker_id",

@@ -215,7 +215,7 @@ class TcpBroker(Broker):
         #: daemon is hung or the network is partitioned — without a
         #: deadline a dead brokerd would block `_call` (and with it the
         #: coordinator's whole poll loop, lock included) forever, and
-        #: `wait_for_report`'s own timeout could never fire.
+        #: the broker backend's own timeout could never fire.
         self._op_timeout_s = op_timeout_s
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None

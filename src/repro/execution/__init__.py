@@ -1,4 +1,4 @@
-"""Streaming execution backends: one seam over serial, pool, and broker.
+"""Streaming execution backends: the one way to run a chunk plan.
 
 The per-sample phase of Algorithm 1 runs behind a single
 :class:`SampleBackend` protocol.  Backends are picked by name (mirroring
@@ -16,20 +16,20 @@ plan — never of the backend::
         if result.ok:
             consume(result.witness)     # O(window) chunks ever held
 
-:func:`sample_stream` wraps the two steps for the common case.  The
+``backend.collect(plan)`` runs the plan to completion and returns the
+merged :class:`SampleReport` (the ``--report-json`` schema).  The
 ``broker`` backend streams a distributed job (spool directory or TCP
-``repro brokerd``) the same way; ``backend.collect(plan)`` is the classic
-merge-at-end :class:`~repro.parallel.engine.ParallelSampleReport`.
+``repro brokerd``) the same way; ``submit_plan`` enqueues it ahead of
+spawning workers.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .base import (
     DEFAULT_WINDOW,
     ExecutionPlan,
     SampleBackend,
+    SampleReport,
     StreamEvent,
     build_plan,
 )
@@ -44,41 +44,13 @@ from .registry import (
 )
 from .serial import SerialBackend
 
-
-def sample_stream(
-    cnf_or_prepared,
-    n: int,
-    config=None,
-    *,
-    backend: str = "serial",
-    sampler: str = "unigen",
-    chunk_size: int | None = None,
-    max_attempts_factor: int = 10,
-    **backend_kwargs,
-) -> Iterator[StreamEvent]:
-    """Plan + stream in one call: the library-level streaming entry point.
-
-    Yields ``(chunk_index, SampleResult)`` events in deterministic order;
-    the stream is identical for every ``backend`` under one root seed.
-    """
-    plan = build_plan(
-        cnf_or_prepared,
-        n,
-        config,
-        sampler=sampler,
-        chunk_size=chunk_size,
-        max_attempts_factor=max_attempts_factor,
-    )
-    return make_backend(backend, **backend_kwargs).iter_sample_stream(plan)
-
-
 __all__ = [
     "DEFAULT_WINDOW",
     "ExecutionPlan",
     "SampleBackend",
+    "SampleReport",
     "StreamEvent",
     "build_plan",
-    "sample_stream",
     "SerialBackend",
     "PoolBackend",
     "BrokerBackend",

@@ -32,11 +32,17 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from ..core.base import SampleResult, SamplerStats
-from ..parallel.plan import ChunkFold, ChunkTask, build_payload, chunk_plan
+from ..core.base import SampleResult, SamplerStats, Witness, witness_to_lits
+from ..parallel.plan import (
+    ChunkFold,
+    ChunkTask,
+    build_payload,
+    chunk_plan,
+    default_chunk_size,
+)
 from ..rng import fresh_root_seed
 
 #: Fallback in-flight window when a backend is not given one explicitly.
@@ -76,6 +82,80 @@ class ExecutionPlan:
         return len(self.tasks)
 
 
+@dataclass
+class SampleReport:
+    """Everything one run of a plan produced, merged and ordered.
+
+    ``witnesses`` and ``results`` are in chunk order (chunk 0's draws
+    first), the same order on every backend.  ``root_seed`` is always
+    concrete — when the caller seeded from OS entropy it records the drawn
+    root, so any run can be replayed exactly.
+    """
+
+    witnesses: list[Witness]
+    results: list[SampleResult]
+    stats: SamplerStats
+    sampler: str
+    jobs: int
+    n_requested: int
+    chunk_size: int
+    n_chunks: int
+    root_seed: int
+    wall_time_seconds: float
+    chunk_times: list[float] = field(default_factory=list)
+    #: Chunk re-issues after lost leases; always 0 on the pool path, where a
+    #: dead worker kills the run instead of being retried.
+    requeues: int = 0
+
+    @property
+    def witnesses_per_second(self) -> float:
+        """End-to-end throughput (pool setup and merge included)."""
+        if self.wall_time_seconds <= 0:
+            return 0.0
+        return len(self.witnesses) / self.wall_time_seconds
+
+    @property
+    def shortfall(self) -> int:
+        """Requested-but-undelivered witnesses (⊥-heavy chunks ran out of
+        attempts); 0 on a fully successful run."""
+        return self.n_requested - len(self.witnesses)
+
+    def describe(self) -> str:
+        """One human-readable line for CLI output."""
+        retried = f", {self.requeues} requeued" if self.requeues else ""
+        return (
+            f"{len(self.witnesses)}/{self.n_requested} witnesses via "
+            f"{self.sampler} [jobs={self.jobs}, {self.n_chunks} chunks × "
+            f"{self.chunk_size}{retried}, seed={self.root_seed}] in "
+            f"{self.wall_time_seconds:.2f}s "
+            f"({self.witnesses_per_second:.1f} witnesses/s, "
+            f"success={self.stats.success_probability:.3f})"
+        )
+
+    def to_dict(self) -> dict:
+        """JSON-serializable form (the ``--report-json`` schema).
+
+        Witnesses appear in their canonical signed-literal wire form; the
+        per-draw results and merged stats use their own ``to_dict`` layouts.
+        """
+        return {
+            "sampler": self.sampler,
+            "jobs": self.jobs,
+            "n_requested": self.n_requested,
+            "n_delivered": len(self.witnesses),
+            "chunk_size": self.chunk_size,
+            "n_chunks": self.n_chunks,
+            "root_seed": self.root_seed,
+            "requeues": self.requeues,
+            "wall_time_seconds": self.wall_time_seconds,
+            "witnesses_per_second": self.witnesses_per_second,
+            "chunk_times": list(self.chunk_times),
+            "witnesses": [witness_to_lits(w) for w in self.witnesses],
+            "results": [r.to_dict() for r in self.results],
+            "stats": self.stats.to_dict(),
+        }
+
+
 def build_plan(
     cnf_or_prepared,
     n: int,
@@ -88,13 +168,20 @@ def build_plan(
 ) -> ExecutionPlan:
     """The shared front half of every execution path.
 
-    Runs the same pre-flight the pool engine and the distributed
-    coordinator always ran: construct (and discard) one sampler in the
+    Pre-flight first: construct (and discard) one sampler in the
     submitting process so bad arguments — an ε/sampling-set mismatch with
     the artifact, a missing ``xor_count`` — fail here with a clean error
     instead of inside every worker.  Samplers without a prepare phase
     accept an artifact by adopting its embedded formula.
 
+    ``chunk_size``
+        Witnesses per chunk; ``None`` applies
+        :func:`~repro.parallel.plan.default_chunk_size`.  Part of the
+        determinism key — two runs agree only if their chunking agrees.
+    ``max_attempts_factor``
+        Per chunk, allow ``count × factor`` batch attempts before the
+        chunk returns short (⊥-heavy samplers must terminate; Theorem 1
+        only bounds the failure probability away from 1).
     ``only_chunks``
         Optional iterable of chunk indices to keep.  The *full* chunk
         plan is always cut first, so surviving tasks carry exactly the
@@ -106,10 +193,15 @@ def build_plan(
     from ..api.config import SamplerConfig
     from ..api.prepared import PreparedFormula
     from ..api.registry import get_entry, make_sampler
-    from ..parallel.config import ParallelSamplerConfig
 
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if max_attempts_factor < 1:
+        raise ValueError(
+            f"max_attempts_factor must be >= 1, got {max_attempts_factor}"
+        )
     config = config or SamplerConfig()
     entry = get_entry(sampler)
     preflight_target = cnf_or_prepared
@@ -120,9 +212,9 @@ def build_plan(
     make_sampler(entry.name, preflight_target, config)
 
     root_seed = config.seed if config.seed is not None else fresh_root_seed()
-    resolved_chunk_size = ParallelSamplerConfig(
-        sampler=entry.name, chunk_size=chunk_size
-    ).resolve_chunk_size(n)
+    resolved_chunk_size = (
+        chunk_size if chunk_size is not None else default_chunk_size(n)
+    )
     tasks = chunk_plan(n, resolved_chunk_size, root_seed, max_attempts_factor)
     if only_chunks is not None:
         wanted = set(only_chunks)
@@ -261,10 +353,10 @@ class SampleBackend(ABC):
         """Stats folded so far by the most recent stream (streaming-safe)."""
         return self.fold.stats if self.fold is not None else SamplerStats()
 
-    def collect(self, plan: ExecutionPlan):
+    def collect(self, plan: ExecutionPlan) -> SampleReport:
         """Run the plan to completion and return the classic merged report.
 
-        This is the merge-at-end surface (`ParallelSampleReport`): it holds
+        This is the merge-at-end :class:`SampleReport`: it holds
         every witness, which is exactly what the streaming entrypoint
         exists to avoid — use it when ``n`` is coordinator-memory sized.
         """
@@ -285,7 +377,7 @@ class SampleBackend(ABC):
         *,
         results: list[SampleResult] | None = None,
         wall_time_seconds: float = 0.0,
-    ):
+    ) -> SampleReport:
         """The classic report, assembled from the most recent run's fold.
 
         The one place the report schema is built: :meth:`collect` uses it
@@ -293,13 +385,11 @@ class SampleBackend(ABC):
         their own :class:`~repro.core.base.SampleResult` list (the CLI's
         ``--report-json``) pass it via ``results``.
         """
-        from ..parallel.engine import ParallelSampleReport
-
         fold = self.fold if self.fold is not None else ChunkFold()
         if results is None:
             results = fold.results
         extras = self._report_extras()
-        return ParallelSampleReport(
+        return SampleReport(
             witnesses=[r.witness for r in results if r.ok],
             results=results,
             stats=fold.stats,

@@ -89,12 +89,6 @@ class BrokerBackend(SampleBackend):
         )
         return self._submitted
 
-    def run_plan(self, plan: ExecutionPlan) -> Iterator[dict]:
-        spec, self._submitted = self._submitted, None
-        if spec is None:
-            spec, self._submitted = self.submit_plan(plan), None
-        yield from self.stream_spec(spec)
-
     def cancel_in_flight(self) -> None:
         """Abort the brokered job: purge it so nothing else runs.
 
@@ -109,13 +103,20 @@ class BrokerBackend(SampleBackend):
         super().cancel_in_flight()
         self.broker.purge()
 
-    def stream_spec(self, spec: JobSpec) -> Iterator[dict]:
-        """Stream an already-submitted job's raw chunk results in order.
+    def run_plan(self, plan: ExecutionPlan) -> Iterator[dict]:
+        """Stream the job's raw chunk results in order, submitting the plan
+        first unless :meth:`submit_plan` already did.
 
-        Split from :meth:`run_plan` so the coordinator's two-process CLI
-        split survives: ``submit_job`` enqueues in one process, any process
-        holding the :class:`~repro.distributed.broker.JobSpec` can stream.
+        Raises :class:`~repro.errors.WorkerFailure` when a delivered chunk
+        carries a worker-captured (deterministic) error,
+        :class:`~repro.errors.ChunkLost` when a chunk burns its delivery
+        budget without an ack, and
+        :class:`~repro.errors.DistributedError` when the job vanishes or
+        ``timeout_s`` runs out.
         """
+        spec, self._submitted = self._submitted, None
+        if spec is None:
+            spec, self._submitted = self.submit_plan(plan), None
         window = self.resolved_window()
         # A resumed job's task list is a *subset* of the original chunk
         # plan, so chunk indices need not be contiguous or 0-based; the

@@ -23,10 +23,20 @@ from collections import deque
 from typing import Iterator
 
 from ..errors import BudgetExhausted
-from ..parallel.config import resolve_start_method
 from ..parallel.worker import init_worker, run_pooled_chunk
 from .base import ExecutionPlan, SampleBackend
 from .registry import register_backend
+
+
+def resolve_start_method(explicit: str | None) -> str:
+    """The one start-method policy: honor an explicit choice, else
+    ``fork`` where the platform offers it (cheap on Linux), else
+    ``spawn``.  Either way the payload crosses the process boundary in
+    its serialized dict form, so the drawn stream does not depend on it."""
+    if explicit is not None:
+        return explicit
+    available = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in available else "spawn"
 
 
 class PoolBackend(SampleBackend):

@@ -11,14 +11,14 @@ the sampling lifecycle as a tool:
   1–11 once and cache the artifact;
 * ``repro sample FILE.cnf`` — witnesses of a DIMACS file (``c ind`` lines
   supply the sampling set); ``--sampler`` picks any registered algorithm,
-  ``--prepared state.json`` reuses a cached artifact, ``--jobs N`` fans the
-  drawing out over a worker pool, ``--smoke`` runs the built-in self-check
-  CI exercises (``--smoke --jobs 2`` adds the parallel-engine leg);
-* ``repro bench-throughput`` — witnesses/sec of the parallel engine across
-  job counts on a suite benchmark or a DIMACS file;
+  ``--prepared state.json`` reuses a cached artifact, ``--jobs N`` runs
+  the chunk plan on the serial (N=1) or pool backend, ``--smoke`` runs the
+  built-in self-check CI exercises (``--smoke --jobs 2`` adds the pool
+  leg);
 * ``repro bench --config sweep.json`` — the config-driven benchmark
   runner: registered micro/end-to-end benchmarks swept over parameter
-  grids, CSVs with skip-existing, ``--emit BENCH_innerloop.json`` folds
+  grids (``unigen-sweep`` measures throughput across sampler × jobs ×
+  window), CSVs with skip-existing, ``--emit BENCH_innerloop.json`` folds
   the measured points and fresh-vs-session BSAT pairs into a trajectory
   artifact;
 * ``repro broker SPOOL FILE.cnf`` — submit a sampling job to a spool-
@@ -137,16 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xor-count", type=int, default=None,
                    help="XOR count s (required by --sampler xorsample)")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="sample through the parallel engine with N worker"
-                        " processes (N=1 runs the identical chunked pipeline"
-                        " in-process); default: classic serial path")
+                   help="run the chunk plan with N worker processes (the"
+                        " pool backend; N=1 runs the identical chunked"
+                        " pipeline in-process on the serial backend);"
+                        " default: classic serial path")
     p.add_argument("--chunk-size", type=int, default=None,
                    help="witnesses per parallel work unit (default: derived"
                         " from -n, independent of --jobs)")
     p.add_argument("--smoke", action="store_true",
                    help="fast self-check of the whole lifecycle on a tiny"
                         " built-in formula (used by CI); with --jobs N also"
-                        " exercises the parallel engine")
+                        " exercises the pool backend")
     p.add_argument("--backend", choices=("serial", "pool", "broker"),
                    default=None,
                    help="execution backend of the streaming layer (default:"
@@ -241,25 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-json", metavar="PATH", default=None,
                    help="also write the full sampling report (witnesses,"
                         " per-draw results, merged stats) as JSON")
-
-    p = sub.add_parser(
-        "bench-throughput",
-        help="measure parallel sampling throughput (witnesses/sec) vs jobs",
-    )
-    p.add_argument("cnf_file", nargs="?", default=None,
-                   help="DIMACS file; omit to use a suite benchmark (--name)")
-    p.add_argument("--name", default="s1196a_7_4",
-                   help="suite benchmark name (ignored when a CNF file is"
-                        " given); see `repro benchmarks --names-only`")
-    p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    p.add_argument("-n", "--num", type=int, default=200,
-                   help="witnesses per job-count measurement")
-    p.add_argument("--jobs", type=int, nargs="+", default=[1, 2, 4],
-                   metavar="N", help="job counts to measure")
-    p.add_argument("--sampler", default="unigen2")
-    p.add_argument("--seed", type=int, default=2014)
-    p.add_argument("--epsilon", type=float, default=6.0)
-    p.add_argument("--chunk-size", type=int, default=None)
 
     p = sub.add_parser(
         "bench",
@@ -650,65 +632,20 @@ def _reraise_worker_failure(exc):
     raise exc
 
 
-def _sample_via_broker(
-    spool,
-    target,
-    n: int,
-    config,
-    *,
-    sampler: str,
-    chunk_size: int | None,
-    lease_timeout_s: float,
-    max_deliveries: int = 5,
-    poll: float = 0.2,
-    timeout: float | None = None,
-    workers: int = 0,
-    purge_spent: bool = False,
-    token: str | None = None,
-    retry_window_s: float = 0.0,
-):
-    """Submit to a chunk queue (spool directory or tcp:// brokerd),
-    optionally spawn local workers, and collect the merged report.
+def _submit_to_broker(backend, plan, target: str) -> None:
+    """Enqueue ``plan`` on a broker backend and announce the job.
 
-    A worker-side ``UnsatisfiableError`` (sample-only samplers discover
-    UNSAT inside a chunk) is re-raised as the real thing so callers report
-    it exactly like the serial path.  With ``purge_spent`` the queue's
-    job state is discarded after clean completion — once any spawned
-    workers have drained and exited, so they still observe the finished
-    job.
+    Both broker CLI paths submit before any local worker exists: a
+    submit-time failure (a stale job still in flight on the spool) must
+    exit cleanly, not leave fresh workers serving a foreign job.
     """
-    from ..distributed import connect_broker, submit_job, wait_for_report
-    from ..errors import WorkerFailure
-
-    broker = connect_broker(spool, token=token,
-                            retry_window_s=retry_window_s)
-    submitted = submit_job(
-        broker,
-        target,
-        n,
-        config,
-        sampler=sampler,
-        chunk_size=chunk_size,
-        lease_timeout_s=lease_timeout_s,
-        max_deliveries=max_deliveries,
-    )
+    spec = backend.submit_plan(plan)
     print(
-        f"c broker: job {submitted.spec.job_id[:8]} submitted to {spool} "
-        f"({len(submitted.spec.tasks)} chunks × {submitted.chunk_size}, "
-        f"seed={submitted.root_seed}, lease={lease_timeout_s:g}s)",
+        f"c broker: job {spec.job_id[:8]} submitted to {target} "
+        f"({plan.n_chunks} chunks × {plan.chunk_size}, "
+        f"seed={plan.root_seed}, lease={backend.lease_timeout_s:g}s)",
         file=sys.stderr,
     )
-    with _local_workers(spool, workers, poll, token, retry_window_s):
-        try:
-            report = wait_for_report(
-                broker, submitted, poll_interval_s=poll, timeout_s=timeout
-            )
-        except WorkerFailure as exc:
-            _reraise_worker_failure(exc)
-    if purge_spent:
-        broker.purge()
-        print(f"c broker: purged spent job state at {spool}", file=sys.stderr)
-    return report
 
 
 def _gate_universe(args, target) -> int:
@@ -967,16 +904,7 @@ def _run_backend_sample(args, target, config) -> int:
     tripped: GateTripped | None = None
     start = _time.monotonic()
     if broker is not None:
-        # Submit before any worker exists: a submit-time failure (stale
-        # job still in flight on the spool) must exit cleanly, not leave
-        # fresh workers serving a foreign job.
-        spec = backend.submit_plan(plan)
-        print(
-            f"c broker: job {spec.job_id[:8]} submitted to {args.broker} "
-            f"({plan.n_chunks} chunks × {plan.chunk_size}, "
-            f"seed={plan.root_seed}, lease={args.lease_timeout:g}s)",
-            file=sys.stderr,
-        )
+        _submit_to_broker(backend, plan, args.broker)
         workers_ctx = _local_workers(
             args.broker, workers, 0.1, args.auth_token, args.broker_retry
         )
@@ -1093,30 +1021,26 @@ def _maybe_report_json(path, data: dict) -> None:
 
 def _serial_report_dict(sampler_name, sampler, results, witnesses, n,
                         seed) -> dict:
-    """The serial path's ``--report-json`` payload — same schema (and the
-    same registry-canonical sampler name) as
-    :meth:`~repro.parallel.engine.ParallelSampleReport.to_dict`, so report
-    consumers never branch on how the witnesses were drawn."""
-    from ..core.base import witness_to_lits
+    """The serial path's ``--report-json`` payload: the inline run as one
+    chunk of a :class:`~repro.execution.SampleReport`, so report consumers
+    never branch on how the witnesses were drawn."""
+    from ..execution import SampleReport
 
     stats = sampler.stats
     wall = stats.sample_time_seconds
-    return {
-        "sampler": sampler_name,
-        "jobs": 1,
-        "n_requested": n,
-        "n_delivered": len(witnesses),
-        "chunk_size": n,
-        "n_chunks": 1,
-        "root_seed": seed,
-        "requeues": 0,
-        "wall_time_seconds": wall,
-        "witnesses_per_second": len(witnesses) / wall if wall > 0 else 0.0,
-        "chunk_times": [wall],
-        "witnesses": [witness_to_lits(w) for w in witnesses],
-        "results": [r.to_dict() for r in results],
-        "stats": stats.to_dict(),
-    }
+    return SampleReport(
+        witnesses=witnesses,
+        results=results,
+        stats=stats,
+        sampler=sampler_name,
+        jobs=1,
+        n_requested=n,
+        chunk_size=n,
+        n_chunks=1,
+        root_seed=seed,
+        wall_time_seconds=wall,
+        chunk_times=[wall],
+    ).to_dict()
 
 
 def _print_witness(witness, flush: bool = False) -> None:
@@ -1141,12 +1065,12 @@ def _run_smoke(jobs: int | None = None) -> int:
 
     Exercises prepare → serialize → deserialize → every registered sampler
     on a tiny built-in formula, validating each returned witness.  With
-    ``jobs`` set, additionally runs the parallel engine at that job count
-    and asserts jobs-invariance: the pool must draw exactly the witnesses
-    the in-process ``jobs=1`` pipeline draws under the same root seed.
+    ``jobs`` set, additionally runs one chunk plan on the pool backend at
+    that job count and asserts jobs-invariance: the pool must draw exactly
+    the witnesses the serial backend draws under the same root seed.
     """
     from ..cnf.formula import CNF
-    from ..parallel import ParallelSamplerConfig, sample_parallel
+    from ..execution import PoolBackend, SerialBackend, build_plan
 
     cnf = CNF()
     cnf.add_clause([1, 2, 3])
@@ -1172,12 +1096,9 @@ def _run_smoke(jobs: int | None = None) -> int:
               f"({len(witnesses)} witnesses)")
 
     if jobs is not None and jobs > 1:
-        serial = sample_parallel(
-            roundtrip, 8, config, ParallelSamplerConfig(jobs=1)
-        )
-        pooled = sample_parallel(
-            roundtrip, 8, config, ParallelSamplerConfig(jobs=jobs)
-        )
+        plan = build_plan(roundtrip, 8, config)
+        serial = SerialBackend().collect(plan)
+        pooled = PoolBackend(jobs=jobs).collect(plan)
         ok = (
             pooled.witnesses == serial.witnesses
             and len(pooled.witnesses) == 8
@@ -1280,23 +1201,25 @@ def main(argv: list[str] | None = None) -> int:
             args.out = args.resume
         if args.num is None and args.resume is None:
             args.num = 1  # under --resume the manifest supplies n
-        # --broker and the streaming flags route through the execution
-        # layer; pick the backend they imply when --backend itself was
-        # not spelled out.  (--broker unconditionally: the backend path
-        # IS the broker lifecycle — submit, spawn --jobs local workers,
-        # stream, purge — there is no second implementation to drift.)
+        # --broker, --jobs and the streaming flags route through the
+        # execution layer; pick the backend they imply when --backend
+        # itself was not spelled out.  (--broker unconditionally: the
+        # backend path IS the broker lifecycle — submit, spawn --jobs
+        # local workers, stream, purge — there is no second
+        # implementation to drift.)
         if args.backend is None and args.broker is not None:
             args.backend = "broker"
         if args.backend is None and (
-            args.stream
+            args.jobs is not None
+            or args.stream
             or args.window is not None
             or args.progress is not None
             or args.gate_online
             or args.out is not None
         ):
             # Any explicit multi/zero --jobs routes to the pool, whose
-            # constructor rejects 0 (exit 2) exactly like the classic
-            # --jobs path — never silently fall back to inline sampling.
+            # constructor rejects 0 (exit 2) — never silently fall back
+            # to inline sampling.
             args.backend = (
                 "serial" if args.jobs is None or args.jobs == 1 else "pool"
             )
@@ -1336,29 +1259,6 @@ def main(argv: list[str] | None = None) -> int:
                     return _run_backend_sample(args, target, config)
                 except WorkerFailure as exc:
                     _reraise_worker_failure(exc)
-            if args.jobs is not None:
-                from ..errors import WorkerFailure
-                from ..parallel import ParallelSamplerConfig, sample_parallel
-
-                try:
-                    report = sample_parallel(
-                        target,
-                        args.num,
-                        config,
-                        ParallelSamplerConfig(
-                            jobs=args.jobs,
-                            sampler=args.sampler,
-                            chunk_size=args.chunk_size,
-                        ),
-                    )
-                except WorkerFailure as exc:
-                    # Sample-only samplers discover UNSAT inside a worker;
-                    # report it the way the serial path does.
-                    _reraise_worker_failure(exc)
-                _print_witnesses(report.witnesses, report.shortfall)
-                print(f"c {report.describe()}", file=sys.stderr)
-                _maybe_report_json(args.report_json, report.to_dict())
-                return 0
             sampler = make_sampler(args.sampler, target, config)
             preparer = getattr(sampler, "prepare", None)
             if callable(preparer):
@@ -1370,7 +1270,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"c error: {exc}", file=sys.stderr)
             return 2
         try:
-            # Same -n contract as the parallel path: deliver args.num
+            # Same -n contract as the backend path: deliver args.num
             # witnesses (bounded retries), BOT lines only for the shortfall.
             results = sampler.sample_until_results(
                 args.num, max_attempts=10 * max(1, args.num)
@@ -1440,7 +1340,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "broker":
-        from ..errors import ReproError, UnsatisfiableError
+        from ..distributed import connect_broker
+        from ..errors import ReproError, UnsatisfiableError, WorkerFailure
+        from ..execution import build_plan, make_backend
 
         if args.cnf_file is None and args.prepared is None:
             print("c error: need a CNF file or --prepared", file=sys.stderr)
@@ -1456,22 +1358,31 @@ def main(argv: list[str] | None = None) -> int:
                 approxmc_search="galloping",
                 xor_count=args.xor_count,
             )
-            report = _sample_via_broker(
-                args.spool,
-                target,
-                args.num,
-                config,
-                sampler=args.sampler,
-                chunk_size=args.chunk_size,
+            broker = connect_broker(args.spool, token=args.auth_token,
+                                    retry_window_s=args.broker_retry)
+            plan = build_plan(target, args.num, config, sampler=args.sampler,
+                              chunk_size=args.chunk_size)
+            backend = make_backend(
+                "broker",
+                broker=broker,
                 lease_timeout_s=args.lease_timeout,
                 max_deliveries=args.max_deliveries,
-                poll=args.poll,
-                timeout=args.timeout,
-                workers=args.workers,
-                purge_spent=args.purge,
-                token=args.auth_token,
-                retry_window_s=args.broker_retry,
+                poll_interval_s=args.poll,
+                timeout_s=args.timeout,
             )
+            _submit_to_broker(backend, plan, args.spool)
+            with _local_workers(args.spool, args.workers, args.poll,
+                                args.auth_token, args.broker_retry):
+                try:
+                    report = backend.collect(plan)
+                except WorkerFailure as exc:
+                    _reraise_worker_failure(exc)
+            if args.purge:
+                # Spawned workers have drained and exited by now, so they
+                # still observed the finished job before it vanished.
+                broker.purge()
+                print(f"c broker: purged spent job state at {args.spool}",
+                      file=sys.stderr)
         except UnsatisfiableError:
             print("s UNSATISFIABLE")
             return 1
@@ -1714,64 +1625,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(f"c wrote {args.out}")
         print(f"c {artifact.describe()}")
-        return 0
-
-    if args.command == "bench-throughput":
-        from ..errors import ReproError
-        from ..parallel import ParallelSamplerConfig, sample_parallel
-
-        try:
-            if args.cnf_file is not None:
-                cnf = read_dimacs(args.cnf_file)
-                label = args.cnf_file
-            else:
-                from ..suite import build
-
-                cnf = build(args.name, args.scale).cnf
-                label = f"{args.name} ({args.scale})"
-            config = SamplerConfig(
-                epsilon=args.epsilon,
-                seed=args.seed,
-                approxmc_search="galloping",
-            )
-            entry = get_entry(args.sampler)
-            # Prepare once so every job count measures pure lines-12–22
-            # throughput, not a redundant ApproxMC per measurement.
-            target = prepare(cnf, config) if entry.supports_prepared else cnf
-        except (ReproError, ValueError, OSError) as exc:
-            print(f"c error: {exc}", file=sys.stderr)
-            return 2
-        print(f"c bench-throughput: {label}, sampler={entry.name}, "
-              f"n={args.num}, seed={args.seed}")
-        measurements = []
-        try:
-            for jobs in args.jobs:
-                report = sample_parallel(
-                    target,
-                    args.num,
-                    config,
-                    ParallelSamplerConfig(
-                        jobs=jobs,
-                        sampler=args.sampler,
-                        chunk_size=args.chunk_size,
-                    ),
-                )
-                measurements.append((jobs, report))
-        except (ReproError, ValueError) as exc:
-            print(f"c error: {exc}", file=sys.stderr)
-            return 2
-        # Speedups are relative to the fewest-jobs measurement (the 1-job
-        # run when present), whatever order --jobs listed them in.
-        baseline = min(measurements, key=lambda m: m[0])[1].witnesses_per_second
-        print(f"{'jobs':>5s} {'witnesses':>10s} {'wall s':>8s} "
-              f"{'wit/s':>8s} {'speedup':>8s}")
-        for jobs, report in measurements:
-            speedup = (
-                report.witnesses_per_second / baseline if baseline else 0.0
-            )
-            print(f"{jobs:5d} {len(report.witnesses):10d} "
-                  f"{report.wall_time_seconds:8.2f} "
-                  f"{report.witnesses_per_second:8.1f} {speedup:7.2f}x")
         return 0
 
     if args.command == "samplers":

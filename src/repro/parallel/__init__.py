@@ -1,39 +1,39 @@
-"""Multiprocess sampling over :class:`~repro.api.prepared.PreparedFormula`.
+"""The chunk plan and worker code every execution backend shares.
 
-The one-time phase of Algorithm 1 runs once in the parent; its serialized
-artifact ships to ``jobs`` workers, each drawing chunks of witnesses under
-deterministically derived seeds::
+Once lines 1–11 of Algorithm 1 have produced the hash-size window (the
+:class:`~repro.api.prepared.PreparedFormula`), every per-sample run of
+lines 12–22 is independent.  This package holds the pure pieces that make
+any fan-out of those runs draw one deterministic stream:
 
-    from repro.api import SamplerConfig
-    from repro.parallel import ParallelSamplerConfig, sample_parallel
+* :func:`chunk_plan` / :func:`default_chunk_size` — the task list, a pure
+  function of ``(n, chunk_size, root_seed)``; each chunk samples under a
+  *derived* seed, so no job count, worker or transport can change it;
+* :func:`build_payload` — the serialized per-worker recipe;
+* :mod:`repro.parallel.worker` — :func:`~repro.parallel.worker.run_chunk`,
+  the one chunk body the serial, pool and broker backends all run;
+* :class:`ChunkFold` — the ordered fold of raw chunk results.
 
-    report = sample_parallel(
-        cnf_or_prepared,
-        1000,
-        SamplerConfig(seed=42),
-        ParallelSamplerConfig(jobs=8, sampler="unigen2"),
-    )
-    report.witnesses            # ordered, identical for jobs=1 and jobs=8
-    report.witnesses_per_second
+Running a plan is :mod:`repro.execution`'s job::
 
-See :mod:`repro.parallel.engine` for the design notes and guarantees.
+    from repro.execution import build_plan, make_backend
+
+    plan = build_plan(prepared, 1000, SamplerConfig(seed=42),
+                      sampler="unigen2")
+    report = make_backend("pool", jobs=8).collect(plan)
+    report.witnesses            # ordered, identical for every backend
 """
 
-from .config import ParallelSamplerConfig, default_chunk_size
-from .engine import ParallelSampleReport, sample_parallel
 from .plan import (
     ChunkFold,
     ChunkTask,
     MergedChunks,
     build_payload,
     chunk_plan,
+    default_chunk_size,
     merge_chunk_results,
 )
 
 __all__ = [
-    "ParallelSamplerConfig",
-    "ParallelSampleReport",
-    "sample_parallel",
     "default_chunk_size",
     "ChunkFold",
     "ChunkTask",

@@ -68,6 +68,20 @@ class ChunkTask(NamedTuple):
         )
 
 
+def default_chunk_size(n: int) -> int:
+    """The chunking policy: a pure function of ``n`` alone.
+
+    Deliberately **not** a function of the job count — if it were, running
+    the same seed under ``--jobs 1`` and ``--jobs 8`` would partition the
+    per-chunk seed sequence differently and draw different witnesses.
+    Aims for enough chunks to keep any pool busy (≥ 2 per witness up to 32
+    chunks) while amortizing the per-chunk sampler construction.
+    """
+    if n <= 0:
+        return 1
+    return max(1, min(16, math.ceil(n / 32)))
+
+
 def chunk_plan(
     n: int, chunk_size: int, root_seed: int, max_attempts_factor: int
 ) -> list[ChunkTask]:

@@ -1,4 +1,4 @@
-"""Worker-side of the parallel sampling engine.
+"""Worker side of the chunked sampling pipeline.
 
 Everything here runs inside a pool process (or, for ``jobs=1``, inline in
 the parent — through the *same* code path, so the jobs-invariance guarantee
@@ -21,16 +21,13 @@ Lifecycle:
   ride inside them, serialized once — and the chunk's
   :class:`~repro.core.base.SamplerStats`).  Exceptions never cross the
   boundary raw — they are captured with their traceback text and re-raised
-  by the engine as :class:`~repro.errors.WorkerFailure`.
+  by the fold as :class:`~repro.errors.WorkerFailure`.
 
 The serial backend and the distributed worker hold their ``WorkerState``
 in a local variable, so two plans running in one process (the gateway's
 concurrent groups) never see each other's formula.  Only a pool process
 keeps a module slot: :func:`init_worker` fills it as the pool initializer
 and :func:`run_pooled_chunk` reads it.
-
-API imports happen inside functions: :mod:`repro.api` re-exports the
-parallel entry points, so module-level imports here would be circular.
 """
 
 from __future__ import annotations

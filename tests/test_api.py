@@ -97,6 +97,19 @@ class TestSamplerConfig:
         config = SamplerConfig.from_dict({"epsilon": 2.0, "future_knob": 1})
         assert config.epsilon == 2.0
 
+    @pytest.mark.parametrize("retired", [
+        {"matrix_reuse": False},
+        {"solver_reuse": True, "gf2_backend": "numpy"},
+        {"solver_reuse": False, "gf2_backend": None},
+    ], ids=["matrix-reuse-off", "neutral-knobs-set", "neutral-knobs-off"])
+    def test_from_dict_loads_stream_neutral_retired_keys(self, retired):
+        config = SamplerConfig.from_dict({"seed": 3, **retired})
+        assert config == SamplerConfig(seed=3)
+
+    def test_from_dict_refuses_the_retired_matrix_reuse_stream(self):
+        with pytest.raises(ValueError, match="matrix_reuse"):
+            SamplerConfig.from_dict({"matrix_reuse": True, "seed": 3})
+
     def test_budget_none_when_unlimited(self):
         assert SamplerConfig().budget() is None
         budget = SamplerConfig(bsat_timeout_s=2.0).budget()

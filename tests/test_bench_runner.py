@@ -7,6 +7,7 @@ the suite stays fast; the real measurement configs live under
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,9 @@ from repro.bench.runner import (
 )
 
 TINY = {"vars": [16], "rows": [8], "repeats": [1]}
+SMOKE_CONFIG = (
+    Path(__file__).resolve().parents[1] / "benchmarks/configs/smoke.json"
+)
 
 
 def write_config(tmp_path, data):
@@ -123,6 +127,35 @@ class TestRunConfig:
         with (tmp_path / "gf2-elim.csv").open(newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
 
+
+
+class TestSmokeConfig:
+    """The config CI's bench-smoke leg sweeps (its artifact assertions
+    count the same points)."""
+
+    def grids(self):
+        config = load_config(SMOKE_CONFIG)
+        return {
+            block["name"]: iter_param_grid(
+                ALGORITHMS[block["name"]].defaults, block["parameters"]
+            )
+            for block in config["algorithms"]
+        }
+
+    def test_smoke_sweep_has_six_points(self):
+        assert sum(len(grid) for grid in self.grids().values()) == 6
+
+    def test_unigen_sweep_runs_the_pool_branch(self):
+        grid = self.grids()["unigen-sweep"]
+        assert sorted(params["jobs"] for params in grid) == [1, 2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unigen_sweep_point_delivers(self, jobs):
+        algorithm = ALGORITHMS["unigen-sweep"]
+        metrics = algorithm.run(dict(algorithm.defaults, n=20, jobs=jobs))
+        assert metrics["witnesses"] == 20
+        assert 0 < metrics["prepare_s"] <= metrics["wall_s"]
+        assert metrics["wit_per_s"] > 0
 
 
 class TestEmitTrajectory:

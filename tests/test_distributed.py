@@ -17,16 +17,12 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.api import (
-    ParallelSamplerConfig,
-    SamplerConfig,
-    prepare,
-    sample_parallel,
-)
+from repro.api import SamplerConfig, prepare
 from repro.cnf import exactly_k_solutions_formula
 from repro.distributed import (
     FakeClock,
@@ -34,9 +30,6 @@ from repro.distributed import (
     InMemoryBroker,
     JobSpec,
     run_worker,
-    sample_distributed,
-    submit_job,
-    wait_for_report,
 )
 from repro.errors import (
     ChunkLost,
@@ -44,6 +37,7 @@ from repro.errors import (
     LeaseExpired,
     WorkerFailure,
 )
+from repro.execution import BrokerBackend, SerialBackend, build_plan
 from repro.parallel import ChunkTask, chunk_plan
 from repro.stats import uniformity_gate, witness_key
 
@@ -53,6 +47,42 @@ N_DRAWS = 480  # N/M = 60: enough that the gate's ratio check has teeth
 
 def _noop_sleep(_seconds):
     pass
+
+
+def submit(broker, target, n, config, *, sampler="unigen2", chunk_size=None,
+           **backend_kwargs):
+    """Plan and enqueue a job; returns ``(plan, backend)`` ready to
+    collect.  ``backend_kwargs`` go to :class:`BrokerBackend`."""
+    plan = build_plan(target, n, config, sampler=sampler,
+                      chunk_size=chunk_size)
+    backend = BrokerBackend(broker, **backend_kwargs)
+    backend.submit_plan(plan)
+    return plan, backend
+
+
+def collect_with_inline_workers(broker, target, n, config, *, workers,
+                                **plan_kwargs):
+    """Submit, serve the job from ``workers`` drain-mode worker threads
+    in this process, and collect the merged report."""
+    plan, backend = submit(broker, target, n, config, poll_interval_s=0.05,
+                           timeout_s=120.0, **plan_kwargs)
+    threads = [
+        threading.Thread(
+            target=run_worker,
+            args=(broker,),
+            kwargs=dict(worker_id=f"inline-{i}", poll_interval_s=0.05,
+                        drain=True),
+            daemon=True,
+        )
+        for i in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        return backend.collect(plan)
+    finally:
+        for thread in threads:
+            thread.join(timeout=5.0)
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +97,9 @@ def instance():
 def reference(instance):
     """The uninterrupted single-process stream every chaos run must match."""
     cnf, config, artifact = instance
-    report = sample_parallel(
-        artifact,
-        N_DRAWS,
-        config,
-        ParallelSamplerConfig(jobs=1, sampler="unigen2", chunk_size=48),
+    report = SerialBackend().collect(
+        build_plan(artifact, N_DRAWS, config, sampler="unigen2",
+                   chunk_size=48)
     )
     assert len(report.witnesses) == N_DRAWS
     return report
@@ -296,25 +324,22 @@ class TestWorkerLoop:
     def test_drain_serves_the_whole_job(self, instance, reference):
         cnf, config, artifact = instance
         broker = InMemoryBroker(clock=FakeClock())
-        submitted = submit_job(
-            broker, artifact, N_DRAWS, config,
-            sampler="unigen2", chunk_size=48,
+        plan, backend = submit(
+            broker, artifact, N_DRAWS, config, chunk_size=48,
+            clock=FakeClock(), sleep=_noop_sleep,
         )
         worker_report = run_worker(
             broker, worker_id="solo", drain=True, sleep=_noop_sleep
         )
-        assert worker_report.chunks_done == len(submitted.spec.tasks)
+        assert worker_report.chunks_done == plan.n_chunks
         assert worker_report.chunks_lost == 0
-        report = wait_for_report(
-            broker, submitted, clock=FakeClock(), sleep=_noop_sleep
-        )
+        report = backend.collect(plan)
         assert report.witnesses == reference.witnesses
 
     def test_max_chunks_stops_early(self, instance):
         cnf, config, artifact = instance
         broker = InMemoryBroker(clock=FakeClock())
-        submit_job(broker, artifact, 8, config, sampler="unigen2",
-                   chunk_size=2)
+        submit(broker, artifact, 8, config, chunk_size=2)
         worker_report = run_worker(
             broker, worker_id="capped", max_chunks=1, sleep=_noop_sleep
         )
@@ -336,7 +361,7 @@ class TestWorkerLoop:
         """A leftover finished job must not satisfy --drain instantly."""
         cnf, config, artifact = instance
         broker = InMemoryBroker(clock=FakeClock())
-        submit_job(broker, artifact, 4, config, sampler="unigen2")
+        submit(broker, artifact, 4, config)
         run_worker(broker, worker_id="first", drain=True, sleep=_noop_sleep)
         assert broker.is_complete()
         # Second worker arrives at a spool whose job is already done: with
@@ -363,15 +388,9 @@ class TestDistributedDeterminism:
 
     def test_in_memory_matches_single_process(self, instance, reference):
         cnf, config, artifact = instance
-        report = sample_distributed(
-            InMemoryBroker(),
-            artifact,
-            N_DRAWS,
-            config,
-            sampler="unigen2",
+        report = collect_with_inline_workers(
+            InMemoryBroker(), artifact, N_DRAWS, config, workers=3,
             chunk_size=48,
-            inline_workers=3,
-            timeout_s=120.0,
         )
         assert report.witnesses == reference.witnesses
         assert report.root_seed == reference.root_seed == 2014
@@ -382,15 +401,9 @@ class TestDistributedDeterminism:
         self, instance, reference, tmp_path
     ):
         cnf, config, artifact = instance
-        report = sample_distributed(
-            FileBroker(tmp_path / "spool"),
-            artifact,
-            N_DRAWS,
-            config,
-            sampler="unigen2",
-            chunk_size=48,
-            inline_workers=2,
-            timeout_s=120.0,
+        report = collect_with_inline_workers(
+            FileBroker(tmp_path / "spool"), artifact, N_DRAWS, config,
+            workers=2, chunk_size=48,
         )
         assert report.witnesses == reference.witnesses
 
@@ -404,14 +417,9 @@ class TestDistributedDeterminism:
         unsat.add_clause([-1])
         broker = InMemoryBroker()
         with pytest.raises(WorkerFailure) as info:
-            sample_distributed(
-                broker,
-                unsat,
-                4,
-                SamplerConfig(seed=1),
+            collect_with_inline_workers(
+                broker, unsat, 4, SamplerConfig(seed=1), workers=1,
                 sampler="uniwit",
-                inline_workers=1,
-                timeout_s=60.0,
             )
         assert info.value.remote_type == "UnsatisfiableError"
 
@@ -425,9 +433,9 @@ class TestDistributedDeterminism:
 
         cnf, config, artifact = instance
         broker = InMemoryBroker(clock=FakeClock())
-        submitted = submit_job(
-            broker, artifact, 4, config, sampler="unigen2",
-            chunk_size=4, max_deliveries=3,
+        plan, backend = submit(
+            broker, artifact, 4, config, chunk_size=4, max_deliveries=3,
+            clock=FakeClock(), sleep=_noop_sleep,
         )
         real_run = dworker.run_chunk
         calls = {"n": 0}
@@ -449,24 +457,16 @@ class TestDistributedDeterminism:
         )
         assert worker_report.chunks_lost == 1  # the nacked first attempt
         assert worker_report.chunks_done == 1
-        report = wait_for_report(
-            broker, submitted, clock=FakeClock(), sleep=_noop_sleep
-        )
+        report = backend.collect(plan)
         assert report.requeues == 1
-        inline = sample_parallel(
-            artifact, 4, config,
-            ParallelSamplerConfig(jobs=1, sampler="unigen2", chunk_size=4),
-        )
+        inline = SerialBackend().collect(plan)
         assert report.witnesses == inline.witnesses
 
     def test_chunk_lost_raised_when_budget_burns_out(self, instance):
         cnf, config, artifact = instance
         clock = FakeClock()
         broker = InMemoryBroker(clock=clock)
-        submitted = submit_job(
-            broker, artifact, 8, config, sampler="unigen2",
-            chunk_size=4, lease_timeout_s=5.0, max_deliveries=2,
-        )
+
         # Two saboteur leases per delivery, never acked; the waiter's clock
         # drives expiry scans.
         def sabotage(seconds):
@@ -474,11 +474,13 @@ class TestDistributedDeterminism:
                 pass
             clock.advance(max(seconds, 6.0))
 
+        plan, backend = submit(
+            broker, artifact, 8, config, chunk_size=4, lease_timeout_s=5.0,
+            max_deliveries=2, clock=clock, sleep=sabotage,
+            poll_interval_s=1.0,
+        )
         with pytest.raises(ChunkLost) as info:
-            wait_for_report(
-                broker, submitted, clock=clock, sleep=sabotage,
-                poll_interval_s=1.0,
-            )
+            backend.collect(plan)
         assert info.value.deliveries == 2
         assert info.value.chunk_index in (0, 1)
 
@@ -495,9 +497,9 @@ class TestChaos:
         cnf, config, artifact = instance
         clock = FakeClock()
         broker = InMemoryBroker(clock=clock)
-        submitted = submit_job(
-            broker, artifact, N_DRAWS, config,
-            sampler="unigen2", chunk_size=48, lease_timeout_s=10.0,
+        plan, backend = submit(
+            broker, artifact, N_DRAWS, config, chunk_size=48,
+            lease_timeout_s=10.0, clock=clock, sleep=_noop_sleep,
         )
         victim = broker.lease("wedged-worker")  # holds chunk 0, never acks
         # A healthy worker drains everything else and goes idle.
@@ -508,7 +510,7 @@ class TestChaos:
             clock=clock,
             sleep=_noop_sleep,
         )
-        assert len(broker.results()) == len(submitted.spec.tasks) - 1
+        assert len(broker.results()) == plan.n_chunks - 1
         clock.advance(11.0)
         assert broker.requeue_expired() == [victim.chunk_index]
         with pytest.raises(LeaseExpired):  # the wedged worker's late ack
@@ -520,9 +522,7 @@ class TestChaos:
             clock=clock,
             sleep=_noop_sleep,
         )
-        report = wait_for_report(
-            broker, submitted, clock=clock, sleep=_noop_sleep
-        )
+        report = backend.collect(plan)
         assert report.witnesses == reference.witnesses
         assert report.requeues == 1
         assert report.jobs == 2  # two workers acked chunks
@@ -543,10 +543,10 @@ class TestChaos:
         cnf, config, artifact = instance
         spool = tmp_path / "spool"
         broker = FileBroker(spool)
-        submitted = submit_job(
-            broker, artifact, N_DRAWS, config,
-            sampler="unigen2", chunk_size=48,
+        plan, backend = submit(
+            broker, artifact, N_DRAWS, config, chunk_size=48,
             lease_timeout_s=1.0,  # fast retry of the murdered chunk
+            poll_interval_s=0.05, timeout_s=60.0,
         )
 
         # Worker 1 acks one chunk, then SIGKILLs itself immediately after
@@ -556,16 +556,14 @@ class TestChaos:
         assert doomed.returncode == -signal.SIGKILL
 
         crashed = broker.progress()
-        assert crashed.done < len(submitted.spec.tasks)
+        assert crashed.done < plan.n_chunks
         assert crashed.leased == 1  # the orphaned lease of the dead worker
 
         # Worker 2 drains the rest; the coordinator's expiry scan requeues
         # the orphaned chunk (original seed) as soon as its lease ages out.
         survivor = _spawn_cli_worker(spool, "--drain")
         try:
-            report = wait_for_report(
-                broker, submitted, poll_interval_s=0.05, timeout_s=60.0
-            )
+            report = backend.collect(plan)
         finally:
             try:
                 survivor.wait(timeout=60)

@@ -5,7 +5,7 @@ The acceptance criteria under test:
 * every backend (serial / pool / broker) emits the **byte-identical**
   ordered event stream for one root seed — asserted element by element on
   ``(chunk_index, SampleResult)`` events and on the folded witness list
-  against the classic ``sample_parallel`` reference;
+  against the serial backend's merged report;
 * the chunk plan's windows partition ``[0, n)`` exactly once for all
   ``(n, chunk_size, window)`` (hypothesis property), so no witness is
   drawn twice or skipped no matter how the stream is windowed;
@@ -20,12 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import (
-    ParallelSamplerConfig,
-    SamplerConfig,
-    prepare,
-    sample_parallel,
-)
+from repro.api import SamplerConfig, prepare
 from repro.cnf import exactly_k_solutions_formula
 from repro.core.base import SampleResult
 from repro.distributed import FakeClock, InMemoryBroker, run_worker
@@ -37,7 +32,6 @@ from repro.execution import (
     available_backends,
     build_plan,
     make_backend,
-    sample_stream,
 )
 from repro.parallel import ChunkFold, chunk_plan, merge_chunk_results
 from repro.rng import derive_seed
@@ -76,14 +70,8 @@ def plan(instance):
 
 
 @pytest.fixture(scope="module")
-def reference(instance):
-    cnf, config, artifact = instance
-    report = sample_parallel(
-        artifact,
-        N_DRAWS,
-        config,
-        ParallelSamplerConfig(jobs=1, sampler="unigen2", chunk_size=CHUNK),
-    )
+def reference(plan):
+    report = SerialBackend().collect(plan)
     assert len(report.witnesses) == N_DRAWS
     return report
 
@@ -227,21 +215,6 @@ class TestStreamDeterminism:
         assert witnesses == reference.witnesses
         assert backend.max_in_flight <= 3
 
-    def test_sample_stream_convenience_entrypoint(self, instance, reference):
-        cnf, config, artifact = instance
-        events = list(
-            sample_stream(
-                artifact,
-                N_DRAWS,
-                config,
-                backend="serial",
-                sampler="unigen2",
-                chunk_size=CHUNK,
-            )
-        )
-        witnesses = [e.result.witness for e in events if e.result.ok]
-        assert witnesses == reference.witnesses
-
     def test_window_does_not_change_the_stream(self, plan, reference):
         for window in (1, 3, 8):
             backend = PoolBackend(jobs=2, window=window)
@@ -344,7 +317,7 @@ class TestBrokerBackendWindow:
             broker, window=3, poll_interval_s=0.0, sleep=_noop_sleep,
             timeout_s=30.0,
         )
-        spec = broker.submit(plan.payload, list(plan.tasks))
+        backend.submit_plan(plan)
         # One inline worker computes everything up front, acking in
         # reverse chunk order — worst case for the reorder buffer.
         from repro.parallel.worker import WorkerState, run_chunk
@@ -358,7 +331,7 @@ class TestBrokerBackendWindow:
         ):
             broker.ack(lease, run_chunk(lease.task, state))
         raws = []
-        for raw in backend.stream_spec(spec):
+        for raw in backend.run_plan(plan):
             assert backend.in_flight <= 3
             raws.append(raw)
         indices = [raw["chunk"] for raw in raws]
@@ -375,10 +348,10 @@ class TestBrokerBackendWindow:
         backend = BrokerBackend(
             broker, poll_interval_s=0.0, sleep=_noop_sleep
         )
-        spec = broker.submit(plan.payload, list(plan.tasks))
+        backend.submit_plan(plan)
         broker.purge()
         with pytest.raises(DistributedError, match="vanished"):
-            list(backend.stream_spec(spec))
+            list(backend.run_plan(plan))
 
     def test_zero_chunk_job_completes_immediately(self, instance):
         cnf, config, artifact = instance
@@ -563,13 +536,14 @@ class TestBackendCli:
 
     def test_worker_command_over_tcp(self, cnf_path, capsys):
         from repro.cnf import read_dimacs
-        from repro.distributed import BrokerServer, TcpBroker, submit_job
+        from repro.distributed import BrokerServer, TcpBroker
         from repro.experiments.cli import main
 
         with BrokerServer().start() as server:
             coordinator = TcpBroker(*server.address)
-            submit_job(coordinator, read_dimacs(cnf_path), 4,
-                       SamplerConfig(seed=7), sampler="us", chunk_size=2)
+            plan = build_plan(read_dimacs(cnf_path), 4, SamplerConfig(seed=7),
+                              sampler="us", chunk_size=2)
+            BrokerBackend(coordinator).submit_plan(plan)
             assert main(["worker", server.url, "--drain",
                          "--poll", "0.01"]) == 0
             assert coordinator.is_complete()
@@ -588,3 +562,23 @@ class TestBackendCli:
         assert captured.out.count("v ") == 4
         assert "purged spent job state" in captured.err
         assert not spool.exists()
+
+    def test_broker_command_keeps_spent_job_without_purge(
+        self, cnf_path, tmp_path, capsys
+    ):
+        """`repro broker` purges only under --purge: without it the spent
+        job stays on the spool, complete, for external workers to see."""
+        from repro.distributed import FileBroker
+        from repro.experiments.cli import main
+
+        spool = tmp_path / "spool-kept"
+        assert main(["broker", str(spool), str(cnf_path), "-n", "4",
+                     "--seed", "7", "--sampler", "unigen2",
+                     "--workers", "2", "--poll", "0.05",
+                     "--timeout", "90"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("v ") == 4
+        assert "purged" not in captured.err
+        broker = FileBroker(spool)
+        assert broker.job() is not None
+        assert broker.is_complete()

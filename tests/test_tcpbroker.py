@@ -24,12 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import (
-    ParallelSamplerConfig,
-    SamplerConfig,
-    prepare,
-    sample_parallel,
-)
+from repro.api import SamplerConfig, prepare
 from repro.cnf import exactly_k_solutions_formula
 from repro.distributed import (
     BrokerServer,
@@ -39,12 +34,10 @@ from repro.distributed import (
     TcpBroker,
     connect_broker,
     run_worker,
-    sample_distributed,
-    submit_job,
-    wait_for_report,
 )
 from repro.distributed.tcpbroker import parse_tcp_url
 from repro.errors import DistributedError, LeaseExpired
+from repro.execution import BrokerBackend, SerialBackend, build_plan
 from repro.parallel import chunk_plan
 
 K_SOLUTIONS = 8
@@ -54,6 +47,17 @@ CHUNK = 12
 
 def _noop_sleep(_seconds):
     pass
+
+
+def submit(broker, target, n, config, *, sampler="unigen2", chunk_size=None,
+           **backend_kwargs):
+    """Plan and enqueue a job; returns ``(plan, backend)`` ready to
+    collect.  ``backend_kwargs`` go to :class:`BrokerBackend`."""
+    plan = build_plan(target, n, config, sampler=sampler,
+                      chunk_size=chunk_size)
+    backend = BrokerBackend(broker, **backend_kwargs)
+    backend.submit_plan(plan)
+    return plan, backend
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +71,9 @@ def instance():
 @pytest.fixture(scope="module")
 def reference(instance):
     cnf, config, artifact = instance
-    report = sample_parallel(
-        artifact,
-        N_DRAWS,
-        config,
-        ParallelSamplerConfig(jobs=1, sampler="unigen2", chunk_size=CHUNK),
+    report = SerialBackend().collect(
+        build_plan(artifact, N_DRAWS, config, sampler="unigen2",
+                   chunk_size=CHUNK)
     )
     assert len(report.witnesses) == N_DRAWS
     return report
@@ -240,28 +242,22 @@ class TestTcpSpecifics:
         with BrokerServer().start() as server:
             a = TcpBroker(*server.address)
             b = TcpBroker(*server.address)
-            sub_a = submit_job(a, artifact, 24, config,
-                               sampler="unigen2", chunk_size=12)
-            sub_b = submit_job(b, artifact, 24,
-                               SamplerConfig(seed=77),
-                               sampler="unigen2", chunk_size=12)
+            plan_a, backend_a = submit(a, artifact, 24, config,
+                                       chunk_size=12, poll_interval_s=0.01,
+                                       timeout_s=30.0)
+            plan_b, backend_b = submit(b, artifact, 24,
+                                       SamplerConfig(seed=77),
+                                       chunk_size=12, poll_interval_s=0.01,
+                                       timeout_s=30.0)
             assert server.job_count() == 2
             # One unpinned worker fleet drains both jobs in order.
             fleet = TcpBroker(*server.address)
             run_worker(fleet, worker_id="fleet-0", drain=True,
                        poll_interval_s=0.01)
-            report_a = wait_for_report(a, sub_a, poll_interval_s=0.01,
-                                       timeout_s=30.0)
-            report_b = wait_for_report(b, sub_b, poll_interval_s=0.01,
-                                       timeout_s=30.0)
-            ref_a = sample_parallel(
-                artifact, 24, config,
-                ParallelSamplerConfig(jobs=1, sampler="unigen2",
-                                      chunk_size=12))
-            ref_b = sample_parallel(
-                artifact, 24, SamplerConfig(seed=77),
-                ParallelSamplerConfig(jobs=1, sampler="unigen2",
-                                      chunk_size=12))
+            report_a = backend_a.collect(plan_a)
+            report_b = backend_b.collect(plan_b)
+            ref_a = SerialBackend().collect(plan_a)
+            ref_b = SerialBackend().collect(plan_b)
             assert report_a.witnesses == ref_a.witnesses
             assert report_b.witnesses == ref_b.witnesses
             assert report_a.witnesses != report_b.witnesses  # seeds differ
@@ -311,30 +307,26 @@ class TestTcpSpecifics:
         with BrokerServer().start() as server:
             a = TcpBroker(*server.address)
             b = TcpBroker(*server.address)
-            sub_a = submit_job(a, artifact, 8, config,
-                               sampler="unigen2", chunk_size=4,
+            plan_a, _ = submit(a, artifact, 8, config, chunk_size=4,
                                max_deliveries=3)
-            sub_b = submit_job(b, artifact, 8, SamplerConfig(seed=77),
-                               sampler="unigen2", chunk_size=4,
-                               max_deliveries=3)
+            plan_b, _ = submit(b, artifact, 8, SamplerConfig(seed=77),
+                               chunk_size=4, max_deliveries=3)
             # A stalled worker hogs every chunk of job A, never acking.
             hog = TcpBroker(*server.address)
-            hogged = [hog.lease("stalled") for _ in sub_a.spec.tasks]
-            assert all(
-                lease.job_id == sub_a.spec.job_id for lease in hogged
-            )
+            hogged = [hog.lease("stalled") for _ in plan_a.tasks]
+            assert all(lease.job_id == a.job_id for lease in hogged)
             # A healthy worker must now serve job B cleanly (max_chunks,
             # not drain: job A stays incomplete throughout).
             fleet = TcpBroker(*server.address)
             report = run_worker(
                 fleet, worker_id="healthy",
-                max_chunks=len(sub_b.spec.tasks),
+                max_chunks=plan_b.n_chunks,
                 poll_interval_s=0.01,
             )
-            assert report.chunks_done == len(sub_b.spec.tasks)
+            assert report.chunks_done == plan_b.n_chunks
             assert report.chunks_lost == 0
             assert b.lost() == {}
-            assert sorted(b.results()) == [t.index for t in sub_b.spec.tasks]
+            assert sorted(b.results()) == [t.index for t in plan_b.tasks]
             for client in (a, b, hog, fleet):
                 client.close()
 
@@ -396,8 +388,8 @@ class TestTcpSpecifics:
         cnf.add_clause([1, 2])
         cnf.sampling_set = [1, 2]
         broker = InMemoryBroker()
-        submit_job(broker, cnf, 1, SamplerConfig(seed=3), sampler="us",
-                   chunk_size=1)
+        submit(broker, cnf, 1, SamplerConfig(seed=3), sampler="us",
+               chunk_size=1)
 
         polls = {"n": 0}
 
@@ -523,16 +515,25 @@ class TestTcpDeterminismAndChaos:
         cnf, config, artifact = instance
         with BrokerServer().start() as server:
             client = TcpBroker(*server.address)
-            report = sample_distributed(
-                client,
-                artifact,
-                N_DRAWS,
-                config,
-                sampler="unigen2",
-                chunk_size=CHUNK,
-                inline_workers=2,
-                timeout_s=120.0,
-            )
+            plan, backend = submit(client, artifact, N_DRAWS, config,
+                                   chunk_size=CHUNK, poll_interval_s=0.05,
+                                   timeout_s=120.0)
+            threads = [
+                threading.Thread(
+                    target=run_worker, args=(client,),
+                    kwargs=dict(worker_id=f"inline-{i}",
+                                poll_interval_s=0.05, drain=True),
+                    daemon=True,
+                )
+                for i in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            try:
+                report = backend.collect(plan)
+            finally:
+                for thread in threads:
+                    thread.join(timeout=5.0)
             assert report.witnesses == reference.witnesses
             assert report.root_seed == reference.root_seed == 2014
             client.close()
@@ -547,23 +548,21 @@ class TestTcpDeterminismAndChaos:
         cnf, config, artifact = instance
         with BrokerServer().start() as server:
             client = TcpBroker(*server.address)
-            submitted = submit_job(
-                client, artifact, N_DRAWS, config,
-                sampler="unigen2", chunk_size=CHUNK,
+            plan, backend = submit(
+                client, artifact, N_DRAWS, config, chunk_size=CHUNK,
                 lease_timeout_s=1.0,  # fast retry of the murdered chunk
+                poll_interval_s=0.05, timeout_s=60.0,
             )
             doomed = _spawn_cli_worker(server.url, "--chaos-kill-after", "2")
             doomed.wait(timeout=60)
             assert doomed.returncode == -signal.SIGKILL
             crashed = client.progress()
-            assert crashed.done < len(submitted.spec.tasks)
+            assert crashed.done < plan.n_chunks
             assert crashed.leased == 1  # the dead worker's orphaned lease
 
             survivor = _spawn_cli_worker(server.url, "--drain")
             try:
-                report = wait_for_report(
-                    client, submitted, poll_interval_s=0.05, timeout_s=60.0
-                )
+                report = backend.collect(plan)
             finally:
                 try:
                     survivor.wait(timeout=60)
@@ -728,9 +727,9 @@ class TestBrokerdDurability:
             url = _banner_url(banner)
             _host, port = parse_tcp_url(url)
             client = connect_broker(url, retry_window_s=60.0)
-            submitted = submit_job(
-                client, artifact, N_DRAWS, config,
-                sampler="unigen2", chunk_size=CHUNK,
+            plan, backend = submit(
+                client, artifact, N_DRAWS, config, chunk_size=CHUNK,
+                poll_interval_s=0.05, timeout_s=120.0,
             )
             worker = _spawn_cli_worker(
                 url, "--drain", "--broker-retry", "60"
@@ -751,9 +750,7 @@ class TestBrokerdDurability:
             )
             banner = _brokerd_banner(reborn)
             assert "1 jobs replayed" in banner
-            report = wait_for_report(
-                client, submitted, poll_interval_s=0.05, timeout_s=120.0
-            )
+            report = backend.collect(plan)
             assert report.witnesses == reference.witnesses
             worker.wait(timeout=60)
         finally:

@@ -8,15 +8,16 @@ Covers the new machinery in :mod:`repro.stats.uniformity`:
 * :func:`uniformity_gate` — the combined χ² + ratio verdict;
 * the headline property: under a fixed seed, **serial and parallel runs of
   the same sampler pass the same uniformity gate** on a small formula —
-  the parallel engine may change throughput, never the distribution.
+  the pool may change throughput, never the distribution.
 """
 
 import random
 
 import pytest
 
-from repro.api import ParallelSamplerConfig, SamplerConfig, prepare, sample_parallel
+from repro.api import SamplerConfig, prepare
 from repro.cnf import exactly_k_solutions_formula
+from repro.execution import PoolBackend, SerialBackend, build_plan
 from repro.stats import (
     frequency_ratio_check,
     uniformity_gate,
@@ -107,12 +108,9 @@ class TestSerialParallelGateEquivalence:
 
     def _run(self, instance, jobs):
         cnf, config, artifact = instance
-        report = sample_parallel(
-            artifact,
-            self.N_DRAWS,
-            config,
-            ParallelSamplerConfig(jobs=jobs, sampler="unigen"),
-        )
+        plan = build_plan(artifact, self.N_DRAWS, config)
+        backend = SerialBackend() if jobs == 1 else PoolBackend(jobs=jobs)
+        report = backend.collect(plan)
         assert len(report.witnesses) == self.N_DRAWS
         svars = artifact.sampling_set
         return [witness_key(w, svars) for w in report.witnesses]

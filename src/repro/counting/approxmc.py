@@ -33,7 +33,7 @@ from ..cnf.formula import CNF
 from ..errors import ToleranceError
 from ..hashing import HxorFamily
 from ..rng import RandomSource, as_random_source
-from ..sat.enumerate import bsat
+from ..sat.enumerate import SolverSession
 from ..sat.types import Budget
 from .types import CountResult
 
@@ -116,22 +116,23 @@ class ApproxMC:
         UniGen retains it verbatim so a cached
         :class:`repro.api.PreparedFormula` records not just the count but
         how it was obtained.
+
+        Every BSAT call of the count, the shortcut and each core's probes,
+        runs on one :class:`~repro.sat.enumerate.SolverSession` over the
+        formula: the base clauses load once, each probe's hash rows enter
+        as a releasable group, and learnt clauses carry across probes.
         """
+        session = SolverSession(self.cnf)
         # Shortcut shared by every core iteration: if |R| <= pivot, the count
         # is exact and no hashing is needed.
-        first = bsat(
-            self.cnf,
-            self.pivot + 1,
-            sampling_set=self._svars,
-            budget=self._budget,
-        )
+        first = self._cell(session, [])
         if first.complete and len(first) <= self.pivot:
             return CountResult(count=len(first), exact=True, iterations=0)
 
         estimates: list[int] = []
         failures = 0
         for _ in range(self.iterations):
-            outcome = self._core()
+            outcome = self._core(session)
             if outcome.estimate is None:
                 failures += 1
             else:
@@ -150,28 +151,31 @@ class ApproxMC:
         )
 
     # ------------------------------------------------------------------
-    def _cell_size(self, xors) -> int | None:
-        """|cell| clipped at pivot+1; None on budget exhaustion."""
-        hashed = self.cnf.conjoined_with(xors=xors)
-        cell = bsat(
-            hashed,
+    def _cell(self, session: SolverSession, xors):
+        """BSAT of the cell ``xors`` cuts out, up to pivot+1 witnesses."""
+        return session.bsat(
+            xors,
             self.pivot + 1,
             sampling_set=self._svars,
             budget=self._budget,
         )
+
+    def _cell_size(self, session: SolverSession, xors) -> int | None:
+        """|cell| clipped at pivot+1; None on budget exhaustion."""
+        cell = self._cell(session, xors)
         if cell.budget_exhausted:
             return None
         return len(cell)
 
-    def _core(self) -> _CoreOutcome:
+    def _core(self, session: SolverSession) -> _CoreOutcome:
         """One ApproxMCCore run (CP'13 linear search)."""
         if self.search == "galloping":
-            return self._core_galloping()
+            return self._core_galloping(session)
         assert self._family is not None
         n = len(self._svars)
         for i in range(1, n + 1):
             constraint = self._family.draw(i, self._rng)
-            size = self._cell_size(constraint.xors)
+            size = self._cell_size(session, constraint.xors)
             if size is None:
                 return _CoreOutcome(estimate=None)
             if 1 <= size <= self.pivot:
@@ -181,7 +185,7 @@ class ApproxMC:
                 return _CoreOutcome(estimate=None)
         return _CoreOutcome(estimate=None)
 
-    def _core_galloping(self) -> _CoreOutcome:
+    def _core_galloping(self, session: SolverSession) -> _CoreOutcome:
         """One ApproxMC2-style core: prefix-consistent matrix + galloping.
 
         With a single matrix whose prefixes define the cells, |cell(i)| is
@@ -196,7 +200,7 @@ class ApproxMC:
 
         def size_at(i: int) -> int | None:
             if i not in sizes:
-                got = self._cell_size(matrix.xors[:i])
+                got = self._cell_size(session, matrix.xors[:i])
                 if got is None:
                     return None
                 sizes[i] = got

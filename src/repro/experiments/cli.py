@@ -1180,6 +1180,11 @@ def main(argv: list[str] | None = None) -> int:
             print("c error: need a CNF file, --prepared, or --smoke",
                   file=sys.stderr)
             return 2
+        if args.chunk_size is not None and args.chunk_size < 1:
+            # The flag-free path has no chunk plan to reject it later.
+            print(f"c error: chunk_size must be >= 1, got {args.chunk_size}",
+                  file=sys.stderr)
+            return 2
         if args.resume is not None:
             # --resume PATH *is* the witness file; the manifest beside it
             # supplies n/chunk-size/seed, so --out is redundant at best.

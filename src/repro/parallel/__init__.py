@@ -26,19 +26,15 @@ Running a plan is :mod:`repro.execution`'s job::
 from .plan import (
     ChunkFold,
     ChunkTask,
-    MergedChunks,
     build_payload,
     chunk_plan,
     default_chunk_size,
-    merge_chunk_results,
 )
 
 __all__ = [
     "default_chunk_size",
     "ChunkFold",
     "ChunkTask",
-    "MergedChunks",
     "build_payload",
     "chunk_plan",
-    "merge_chunk_results",
 ]

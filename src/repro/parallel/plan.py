@@ -14,8 +14,8 @@ the three pure pieces this module isolates:
 * :func:`build_payload` — the serialized per-worker recipe (plain dicts and
   strings only), identical whether it crosses a ``fork()``, a spool
   directory, or a socket.
-* :func:`merge_chunk_results` — fold raw per-chunk result dicts, already
-  ordered by chunk index, back into one witness stream, one
+* :class:`ChunkFold` — fold raw per-chunk result dicts, already ordered
+  by chunk index, back into one witness stream, one
   :class:`~repro.core.base.SampleResult` stream, and one merged
   :class:`~repro.core.base.SamplerStats`; re-raise worker errors as
   :class:`~repro.errors.WorkerFailure` and enforce the per-chunk time cap.
@@ -24,7 +24,6 @@ the three pure pieces this module isolates:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..core.base import SampleResult, SamplerStats, Witness
@@ -141,16 +140,6 @@ def raise_worker_failure(raw: dict) -> None:
     )
 
 
-@dataclass
-class MergedChunks:
-    """The fold of ordered raw chunk results, transport-agnostic."""
-
-    witnesses: list[Witness] = field(default_factory=list)
-    results: list[SampleResult] = field(default_factory=list)
-    stats: SamplerStats = field(default_factory=SamplerStats)
-    chunk_times: list[float] = field(default_factory=list)
-
-
 class ChunkFold:
     """The streaming fold over ordered raw chunk results.
 
@@ -163,8 +152,6 @@ class ChunkFold:
     With ``keep_results=False`` nothing per-witness is retained — the fold
     holds O(1) state plus one float per chunk, which is what lets the
     streaming backends bound coordinator memory by their in-flight window.
-    :func:`merge_chunk_results` is this fold run to completion with
-    ``keep_results=True``.
     """
 
     def __init__(
@@ -206,31 +193,3 @@ class ChunkFold:
         self.chunk_times.append(raw["time_seconds"])
         self.n_chunks += 1
         return chunk_results
-
-    def merged(self) -> MergedChunks:
-        """The accumulated state in the classic merge-at-end shape."""
-        return MergedChunks(
-            witnesses=self.witnesses,
-            results=self.results,
-            stats=self.stats,
-            chunk_times=self.chunk_times,
-        )
-
-
-def merge_chunk_results(
-    raw_results: list[dict], *, chunk_timeout_s: float | None = None
-) -> MergedChunks:
-    """Merge per-chunk raw dicts (in chunk order) into one ordered stream.
-
-    A thin run-to-completion of :class:`ChunkFold`: raises
-    :class:`~repro.errors.WorkerFailure` for any chunk whose worker
-    captured an exception, and :class:`~repro.errors.BudgetExhausted` for
-    any chunk whose *self-measured* time exceeds ``chunk_timeout_s`` — the
-    worker's own clock, so the cap holds for every chunk regardless of how
-    the waiting overlapped (or, on the broker path, of how late a result
-    file arrived).
-    """
-    fold = ChunkFold(chunk_timeout_s=chunk_timeout_s)
-    for raw in raw_results:
-        fold.add(raw)
-    return fold.merged()

@@ -25,14 +25,17 @@ The result is independent of the solver's search: the solver is seeded
 from a fixed constant (it never draws from a sampler's random stream) and
 the models come back sorted by their values on ``S``.  A complete
 enumeration is therefore a pure function of the cell's witness set, which
-is what lets UniGen's fixed-seed streams survive any change to the solver,
-including the move from one fresh solver per cell to one
-:class:`SolverSession` per sweep.
+is what lets UniGen's fixed-seed streams survive any change to the solver:
+the move from one fresh solver per cell to one :class:`SolverSession` per
+sweep, and the move from the pure-Python search to the native core
+(:mod:`repro.sat.solver`).  Both cores return the same sorted cell sets;
+only a call cut short by its budget (UNKNOWN) may stop at a different
+point on each.
 
 Two entry points share the enumeration loop: :func:`bsat`, a one-shot
-call on a fresh solver (the baselines, ApproxMC, and the reference the
-session tests compare against), and :meth:`SolverSession.bsat`, which
-UniGen's cell search uses for every cell.
+call on a fresh solver (the baselines and the reference the session
+tests compare against), and :meth:`SolverSession.bsat`, which UniGen's
+cell search and ApproxMC use for every cell.
 """
 
 from __future__ import annotations

@@ -361,6 +361,20 @@ class TestCliLifecycle:
 
         assert main(["sample"]) == 2
 
+    @pytest.mark.parametrize("route", [[], ["--backend", "serial"],
+                                       ["--jobs", "1"]])
+    def test_sample_rejects_chunk_size_below_one(self, tmp_path, capsys,
+                                                 route):
+        from repro.experiments.cli import main
+
+        cnf_path = self._write_cnf(tmp_path)
+        code = main(["sample", str(cnf_path), "-n", "2", "--seed", "3",
+                     "--chunk-size", "-2", *route])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "chunk_size must be >= 1" in captured.err
+        assert "v " not in captured.out
+
     def test_smoke(self, capsys):
         from repro.experiments.cli import main
 

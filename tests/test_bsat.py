@@ -4,12 +4,15 @@ import pytest
 
 from repro.cnf import CNF, XorClause, exactly_k_solutions_formula, random_ksat
 from repro.rng import RandomSource
-from repro.sat import Budget, SolverSession, bsat, enumerate_all, projections
+from repro.sat import Budget, Solver, SolverSession, bsat, enumerate_all, projections
 from repro.sat.brute import all_models, count_projected, model_set
 from repro.sat.enumerate import gauss_reduce_xors
+from repro.sat.pysolver import PySolver
 
 
 class TestBounds:
+    core = Solver
+
     def test_bound_zero(self):
         cnf = CNF(2, clauses=[[1, 2]])
         result = bsat(cnf, 0)
@@ -51,6 +54,8 @@ class TestBounds:
 
 
 class TestProjection:
+    core = Solver
+
     def test_distinct_on_sampling_set(self):
         cnf = CNF(4, clauses=[[1, 2]])
         cnf.sampling_set = [1, 2]
@@ -83,6 +88,8 @@ class TestProjection:
 
 
 class TestEnumerateAll:
+    core = Solver
+
     def test_recovers_model_set(self):
         for seed in range(8):
             cnf = random_ksat(6, 12, 3, rng=seed)
@@ -100,6 +107,8 @@ class TestEnumerateAll:
 
 
 class TestBudget:
+    core = Solver
+
     def test_timeout_flags_exhaustion(self):
         from repro.cnf import php
 
@@ -117,6 +126,8 @@ class TestBudget:
 
 
 class TestGaussReduction:
+    core = Solver
+
     def test_reduction_preserves_models(self):
         rng = RandomSource(4)
         cnf = random_ksat(7, 10, 3, rng=rng)
@@ -149,6 +160,8 @@ class TestGaussReduction:
 class TestCompleteAtBound:
     """``complete`` is True only when enumeration stopped below the bound."""
 
+    core = Solver
+
     @pytest.mark.parametrize("k", [1, 5, 8, 13, 26, 64])
     @pytest.mark.parametrize("mode", ["fresh", "session"])
     def test_exactly_bound_witnesses_is_incomplete(self, k, mode):
@@ -180,6 +193,8 @@ class TestBruteForceAgreement:
     canonical order when the bound exceeds the count, and ``bound``
     distinct, satisfying, canonically ordered members below it.
     """
+
+    core = Solver
 
     SVARS = (1, 2, 3, 4, 5, 6)
 
@@ -219,3 +234,9 @@ class TestBruteForceAgreement:
                 assert keys == sorted(set(keys))
                 assert set(keys) <= set(truth)
                 assert all(hashed.evaluate(m) for m in part.models)
+
+
+# The same tests on the pure-Python reference core (see conftest.py).
+for _case in (TestBounds, TestProjection, TestEnumerateAll, TestBudget, TestGaussReduction, TestCompleteAtBound, TestBruteForceAgreement,):
+    _twin = type(f"{_case.__name__}OnPySolver", (_case,), {"core": PySolver})
+    globals()[_twin.__name__] = _twin

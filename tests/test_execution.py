@@ -33,7 +33,7 @@ from repro.execution import (
     build_plan,
     make_backend,
 )
-from repro.parallel import ChunkFold, chunk_plan, merge_chunk_results
+from repro.parallel import ChunkFold, chunk_plan
 from repro.rng import derive_seed
 from repro.stats import ProgressMeter
 
@@ -282,16 +282,17 @@ class TestStreamingStats:
         assert seen_attempts == sorted(seen_attempts)
         assert _counters(backend.stream_stats) == _counters(reference.stats)
 
-    def test_chunk_fold_matches_merge_chunk_results(self, plan):
+    def test_streaming_fold_matches_keeping_fold(self, plan):
         backend = SerialBackend()
         raws = list(backend.run_plan(plan))
-        merged = merge_chunk_results(raws)
+        kept = ChunkFold()
         fold = ChunkFold(keep_results=False)
         for raw in raws:
+            kept.add(raw)
             fold.add(raw)
-        assert fold.stats.to_dict() == merged.stats.to_dict()  # same raws: exact
-        assert fold.chunk_times == merged.chunk_times
-        assert fold.delivered == len(merged.witnesses)
+        assert fold.stats.to_dict() == kept.stats.to_dict()  # same raws: exact
+        assert fold.chunk_times == kept.chunk_times
+        assert fold.delivered == len(kept.witnesses)
         assert fold.witnesses == []  # keep_results=False retains nothing
 
     def test_worker_error_raises_mid_stream(self, instance):

@@ -19,7 +19,7 @@ from repro.cnf import CNF, exactly_k_solutions_formula
 from repro.core.base import SampleResult, SamplerStats
 from repro.errors import BudgetExhausted, WorkerFailure
 from repro.execution import PoolBackend, SerialBackend, build_plan
-from repro.parallel import chunk_plan, default_chunk_size, merge_chunk_results
+from repro.parallel import ChunkFold, chunk_plan, default_chunk_size
 from repro.rng import RandomSource, derive_seed
 from repro.stats import witness_key
 
@@ -265,19 +265,19 @@ class TestFailurePropagation:
     def test_merge_enforces_the_chunk_budget_from_the_worker_clock(self):
         # Pure fake-clock test of the cap: no pools, no sleeps, no load
         # sensitivity.  A chunk whose *self-measured* time exceeds the cap
-        # must fail the merge even though nobody waited on it.
+        # must fail the fold even though nobody waited on it.
         def raw(chunk, seconds):
             return {"chunk": chunk, "results": [], "stats": {},
                     "time_seconds": seconds, "error": None}
 
-        merged = merge_chunk_results(
-            [raw(0, 1.0), raw(1, 4.9)], chunk_timeout_s=5.0
-        )
-        assert merged.chunk_times == [1.0, 4.9]
+        fold = ChunkFold(chunk_timeout_s=5.0)
+        fold.add(raw(0, 1.0))
+        fold.add(raw(1, 4.9))
+        assert fold.chunk_times == [1.0, 4.9]
+        over = ChunkFold(chunk_timeout_s=5.0)
+        over.add(raw(0, 1.0))
         with pytest.raises(BudgetExhausted, match="chunk_timeout_s"):
-            merge_chunk_results(
-                [raw(0, 1.0), raw(1, 5.1)], chunk_timeout_s=5.0
-            )
+            over.add(raw(1, 5.1))
 
     @requires_fork
     @pytest.mark.parametrize("jobs", [1, 2])

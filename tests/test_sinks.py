@@ -44,7 +44,7 @@ from repro.execution import (
     SerialBackend,
     build_plan,
 )
-from repro.parallel import ChunkFold, merge_chunk_results
+from repro.parallel import ChunkFold
 from repro.sinks import (
     CompositeSink,
     DimacsWitnessWriter,
@@ -579,10 +579,9 @@ class TestEmptyPartsRegressions:
 
     def test_chunk_fold_accepts_zero_chunks(self):
         fold = ChunkFold()
-        merged = fold.merged()
-        assert merged.witnesses == [] and merged.results == []
-        assert merged.stats.to_dict() == SamplerStats().to_dict()
-        assert merge_chunk_results([]).chunk_times == []
+        assert fold.witnesses == [] and fold.results == []
+        assert fold.stats.to_dict() == SamplerStats().to_dict()
+        assert fold.chunk_times == [] and fold.n_chunks == 0
 
     def test_zero_chunk_plan_on_serial_and_pool(self, instance):
         cnf, config, artifact = instance

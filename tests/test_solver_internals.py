@@ -1,5 +1,9 @@
 """Stress tests exercising solver internals: clause-DB reduction, restarts,
-activity rescaling, XOR attachment corner cases, and big differential runs."""
+activity rescaling, XOR attachment corner cases, and big differential runs.
+
+The tests that set or read private fields run on the Python reference
+core (:class:`~repro.sat.pysolver.PySolver`), whose state is Python
+attributes; the rest run on :class:`~repro.sat.solver.Solver`."""
 
 import pytest
 
@@ -7,6 +11,7 @@ from repro.cnf import CNF, XorClause, php, random_ksat
 from repro.rng import RandomSource
 from repro.sat import SAT, UNSAT, Budget, Solver
 from repro.sat.brute import is_satisfiable
+from repro.sat.pysolver import PySolver
 
 
 class TestDbReduction:
@@ -14,7 +19,7 @@ class TestDbReduction:
         """Force frequent reductions with a tiny learnt cap; the search must
         still conclude correctly."""
         cnf = php(6, 5)  # UNSAT, needs thousands of conflicts
-        solver = Solver(cnf, rng=3)
+        solver = PySolver(cnf, rng=3)
         solver._max_learnts = 50  # aggressive reduction pressure
         result = solver.solve()
         assert result.status == UNSAT
@@ -23,7 +28,7 @@ class TestDbReduction:
 
     def test_reduction_on_sat_instance(self):
         cnf = random_ksat(40, 168, 3, rng=9)  # near-threshold, conflict-heavy
-        solver = Solver(cnf, rng=9)
+        solver = PySolver(cnf, rng=9)
         solver._max_learnts = 30
         result = solver.solve()
         if result.status == SAT:
@@ -91,7 +96,7 @@ class TestXorAttachment:
 
 class TestActivityRescaling:
     def test_long_run_keeps_activities_finite(self):
-        solver = Solver(php(7, 6), rng=5)
+        solver = PySolver(php(7, 6), rng=5)
         assert solver.solve().status == UNSAT
         assert all(a == a and a != float("inf") for a in solver._activity)
 

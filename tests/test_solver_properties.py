@@ -1,11 +1,17 @@
 """Property-based differential testing of the CDCL solver (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cnf import CNF, XorClause
 from repro.sat import SAT, Solver
+from repro.sat.pysolver import PySolver
 from repro.sat.brute import is_satisfiable, model_set
+
+
+#: Each method below also runs in the PySolver twin class, a second
+#: executor of the same function; that is intended, not a flaky setup.
+TWINNED = [HealthCheck.differing_executors]
 
 
 @st.composite
@@ -33,28 +39,30 @@ def small_cnf(draw, max_vars=8, max_clauses=14, max_xors=3):
 
 
 class TestSolverAgainstBruteForce:
+    core = Solver
+
     @given(cnf=small_cnf(), seed=st.integers(0, 2**16))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, suppress_health_check=TWINNED)
     def test_status_matches_brute_force(self, cnf, seed):
         want = is_satisfiable(cnf)
-        result = Solver(cnf, rng=seed).solve()
+        result = self.core(cnf, rng=seed).solve()
         assert (result.status == SAT) == want
 
     @given(cnf=small_cnf(), seed=st.integers(0, 2**16))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, suppress_health_check=TWINNED)
     def test_models_are_genuine(self, cnf, seed):
-        result = Solver(cnf, rng=seed).solve()
+        result = self.core(cnf, rng=seed).solve()
         if result.status == SAT:
             assert cnf.evaluate(result.model)
 
     @given(cnf=small_cnf(max_vars=6, max_clauses=8, max_xors=2),
            seed=st.integers(0, 2**10))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, suppress_health_check=TWINNED)
     def test_blocking_enumeration_finds_every_model(self, cnf, seed):
         """Enumerating with full-width blocking clauses recovers the exact
         model set — exercises incremental clause addition heavily."""
         truth = model_set(cnf)
-        solver = Solver(cnf, rng=seed)
+        solver = self.core(cnf, rng=seed)
         found = set()
         for _ in range(len(truth) + 1):
             result = solver.solve()
@@ -71,7 +79,7 @@ class TestSolverAgainstBruteForce:
     @given(cnf=small_cnf(max_vars=6), seed=st.integers(0, 2**10),
            assumption_var=st.integers(min_value=1, max_value=6),
            assumption_sign=st.booleans())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, suppress_health_check=TWINNED)
     def test_assumptions_match_conditioning(self, cnf, seed, assumption_var,
                                             assumption_sign):
         """Solving under assumption [l] agrees with solving F ∧ l."""
@@ -81,5 +89,11 @@ class TestSolverAgainstBruteForce:
         conditioned = cnf.copy()
         conditioned.add_clause([lit])
         want = is_satisfiable(conditioned)
-        result = Solver(cnf, rng=seed).solve(assumptions=[lit])
+        result = self.core(cnf, rng=seed).solve(assumptions=[lit])
         assert (result.status == SAT) == want
+
+
+# The same tests on the pure-Python reference core (see conftest.py).
+for _case in (TestSolverAgainstBruteForce,):
+    _twin = type(f"{_case.__name__}OnPySolver", (_case,), {"core": PySolver})
+    globals()[_twin.__name__] = _twin

@@ -21,6 +21,7 @@ from repro.cnf import CNF, XorClause, exactly_k_solutions_formula, random_ksat
 from repro.execution import PoolBackend, SerialBackend, build_plan
 from repro.rng import RandomSource
 from repro.sat import Budget, Solver, SolverSession, bsat
+from repro.sat.pysolver import PySolver
 from repro.stats import uniformity_gate, witness_key
 from repro.suite import build as suite_build
 
@@ -44,10 +45,14 @@ def xor_rows(draw_rng, num_vars, count):
 class TestSessionMatchesFresh:
     """Per-cell model-set equivalence: session mode vs fresh solvers."""
 
+    core = Solver
+
     @settings(
         max_examples=25,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        # differing_executors: the PySolver twin class runs it too.
+        suppress_health_check=[HealthCheck.too_slow,
+                               HealthCheck.differing_executors],
     )
     @given(
         formula_seed=st.integers(min_value=0, max_value=2**20),
@@ -111,12 +116,14 @@ class TestSessionMatchesFresh:
 class TestGroupLifecycle:
     """The raw solver group API: add, block inside, release, repeat."""
 
+    core = Solver
+
     def _base(self):
         # 4 free variables, 16 models.
         return CNF(4)
 
     def test_release_restores_the_base_model_count(self):
-        solver = Solver(self._base())
+        solver = self.core(self._base())
         assumps = solver.add_xor_group([XorClause((1,), True)], tag="g0")
         seen = 0
         while True:
@@ -132,7 +139,7 @@ class TestGroupLifecycle:
         assert res.status == "SAT"
 
     def test_groups_do_not_leak_into_each_other(self):
-        solver = Solver(self._base())
+        solver = self.core(self._base())
         a1 = solver.add_xor_group([XorClause((1,), True)], tag="a")
         solver.release_group("a")
         a2 = solver.add_xor_group([XorClause((1,), False)], tag="b")
@@ -142,7 +149,7 @@ class TestGroupLifecycle:
         solver.release_group("b")
 
     def test_blocking_clauses_die_with_their_group(self):
-        solver = Solver(self._base())
+        solver = self.core(self._base())
         for tag in ("first", "second"):
             assumps = solver.add_xor_group([], tag=tag)
             count = 0
@@ -160,7 +167,7 @@ class TestGroupLifecycle:
     def test_other_assumptions_after_block_model_start_from_root(self):
         # block_model leaves the trail above the root for a resume; a
         # solve() under different assumptions must not continue from it.
-        solver = Solver(self._base())
+        solver = self.core(self._base())
         res = solver.solve(assumptions=[1])
         assert res.status == "SAT" and res.model[1] is True
         solver.block_model(range(1, 5))
@@ -178,6 +185,8 @@ class TestGroupLifecycle:
 
 class TestBudgetSlicing:
     """Per-call budgets layered under the shared session allowance."""
+
+    core = Solver
 
     def _hard_instance(self):
         cnf = random_ksat(60, 252, 3, rng=RandomSource(21))
@@ -326,3 +335,9 @@ class TestStreamEquality:
         fresh = make_sampler("unigen", artifact, config).sample_many(30)
         assert any(w is not None for w in fresh)
         assert session == fresh
+
+
+# The same tests on the pure-Python reference core (see conftest.py).
+for _case in (TestSessionMatchesFresh, TestGroupLifecycle, TestBudgetSlicing,):
+    _twin = type(f"{_case.__name__}OnPySolver", (_case,), {"core": PySolver})
+    globals()[_twin.__name__] = _twin

@@ -9,11 +9,10 @@ package::
     python benchmarks/bench_runner.py --config benchmarks/configs/innerloop.json \
         --emit BENCH_innerloop.json
 
-Unlike the ``bench_*.py`` siblings (pytest-benchmark suites), this runner
-is config-driven: JSON configs under ``benchmarks/configs/`` name which
-registered benchmarks to run and which parameter lists to sweep; results
-append to one CSV per benchmark with skip-existing, so repeated runs only
-fill in missing combinations.
+The runner is config-driven: JSON configs under ``benchmarks/configs/``
+name which registered benchmarks to run and which parameter lists to
+sweep; results append to one CSV per benchmark with skip-existing, so
+repeated runs only fill in missing combinations.
 """
 
 import sys

@@ -56,8 +56,7 @@ for label, sset in (
     (f"inputs S ({len(S_inputs)})", S_inputs),
     (f"full X ({X})", list(range(1, X + 1))),
 ):
-    sampler = UniGen(cnf, epsilon=6.0, sampling_set=sset, rng=3,
-                     approxmc_search="galloping")
+    sampler = UniGen(cnf, epsilon=6.0, sampling_set=sset, rng=3)
     sampler.sample_many(15)
     stats = sampler.stats
     print(f"{label:22s} {stats.avg_xor_length:12.1f} "

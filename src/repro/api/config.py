@@ -19,6 +19,11 @@ from ..rng import RandomSource, as_random_source
 from ..sat.types import Budget
 
 
+#: Retired keys that did change the stream, with the value this version
+#: runs.  Any other value names a stream this version can no longer draw.
+RETIRED_DEFAULTS = {"matrix_reuse": False, "approxmc_search": "linear"}
+
+
 @dataclass
 class SamplerConfig:
     """Every knob of every sampler, with the library-wide defaults.
@@ -38,18 +43,21 @@ class SamplerConfig:
         Per-BSAT-call budget (the paper's 2,500 s cap).
     ``max_retries_per_cell``
         Timed-out BSAT retries at one hash size before giving up.
-    ``approxmc_iterations`` / ``approxmc_search``
-        The internal ApproxMC call: core-iteration override (``None`` =
-        the conservative CP'13 count) and ``"linear"`` vs ``"galloping"``.
+    ``approxmc_iterations``
+        Core-iteration override for the internal ApproxMC call (``None`` =
+        the conservative CP'13 count).  ApproxMC has one core, the CP'13
+        linear search of Algorithm 1, line 9.
     ``hash_density``
         XOR row density; 0.5 is the 3-independent family Theorem 1 needs.
 
     How cells are solved is not a knob: every window sweep runs on one
     incremental solver session (see :mod:`repro.core.cellsearch`).
     Configs saved with the retired ``solver_reuse`` or ``gf2_backend``
-    keys, or with ``matrix_reuse: false``, still load; :meth:`from_dict`
-    drops them.  ``matrix_reuse: true`` named a different witness stream,
-    which this version cannot draw, so it is refused.
+    keys, or with ``matrix_reuse: false`` or ``approxmc_search:
+    "linear"``, still load; :meth:`from_dict` drops them.
+    ``matrix_reuse: true`` and ``approxmc_search: "galloping"`` named a
+    different cell search or ApproxMC core, which this version cannot
+    run, so they are refused.
 
     Baselines
     ---------
@@ -73,7 +81,6 @@ class SamplerConfig:
     bsat_timeout_s: float | None = None
     max_retries_per_cell: int = 20
     approxmc_iterations: int | None = 9
-    approxmc_search: str = "linear"
     hash_density: float = 0.5
     leapfrog: bool = False
     xor_count: int | None = None
@@ -106,15 +113,17 @@ class SamplerConfig:
         """Build a config from a dict, ignoring unknown keys (so configs
         saved by newer versions still load).
 
-        Raises ``ValueError`` for ``matrix_reuse: true``: a plan payload or
-        broker job asking for that retired stream must fail, not be drawn
-        silently with a different one.
+        Raises ``ValueError`` when a retired key of
+        :data:`RETIRED_DEFAULTS` holds any other value than the one this
+        version runs: a plan payload or broker job asking for that stream
+        must fail, not be drawn silently with a different one.
         """
-        if data.get("matrix_reuse"):
-            raise ValueError(
-                "config asks for matrix_reuse=True, a retired cell search "
-                "whose witness stream this version cannot draw"
-            )
+        for key, default in RETIRED_DEFAULTS.items():
+            if data.get(key, default) not in (None, default):
+                raise ValueError(
+                    f"config asks for {key}={data[key]!r}, a retired "
+                    "setting whose witness stream this version cannot draw"
+                )
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in data.items() if k in known}
         if kwargs.get("sampling_set") is not None:

@@ -276,7 +276,6 @@ def prepare(cnf: CNF, config=None, *, rng=None) -> PreparedFormula:
         bsat_budget=config.budget(),
         max_retries_per_cell=config.max_retries_per_cell,
         approxmc_iterations=config.approxmc_iterations,
-        approxmc_search=config.approxmc_search,
         hash_density=config.hash_density,
     )
     return PreparedFormula.from_sampler(sampler)

@@ -153,7 +153,6 @@ def _unigen_kwargs(config: SamplerConfig, prepared, rng) -> dict:
         bsat_budget=config.budget(),
         max_retries_per_cell=config.max_retries_per_cell,
         approxmc_iterations=config.approxmc_iterations,
-        approxmc_search=config.approxmc_search,
         hash_density=config.hash_density,
         prepared=prepared,
     )

@@ -160,11 +160,7 @@ def _run_unigen_sweep(params: dict) -> dict:
     from ..suite import registry as suite_registry
 
     instance = suite_registry.build(params["benchmark"], params["scale"])
-    config = SamplerConfig(
-        epsilon=6.0,
-        seed=int(params["seed"]),
-        approxmc_search="galloping",
-    )
+    config = SamplerConfig(epsilon=6.0, seed=int(params["seed"]))
     n = int(params["n"])
     jobs = int(params["jobs"])
     if jobs > 1:

@@ -93,6 +93,7 @@ class PawsStyle(WitnessSampler):
             budget=self._bsat_budget,
         )
         result = counter.count()
+        self.stats.bsat_calls += counter.bsat_calls
         if result.count is None:
             raise SamplingError("ApproxMC failed in every iteration")
         self.count_estimate = result.count

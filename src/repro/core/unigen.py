@@ -104,7 +104,6 @@ class UniGen(WitnessSampler):
         bsat_budget: Budget | None = None,
         max_retries_per_cell: int = 20,
         approxmc_iterations: int | None = 9,
-        approxmc_search: str = "linear",
         hash_density: float = 0.5,
         prepared=None,
     ):
@@ -126,7 +125,6 @@ class UniGen(WitnessSampler):
         self._bsat_budget = bsat_budget
         self._max_retries = max_retries_per_cell
         self._approxmc_iterations = approxmc_iterations
-        self._approxmc_search = approxmc_search
         # prepare() outputs:
         self._prepared = False
         self._easy_witnesses: list[Witness] | None = None
@@ -251,9 +249,9 @@ class UniGen(WitnessSampler):
             iterations=self._approxmc_iterations,
             rng=self._rng,
             budget=self._bsat_budget,
-            search=self._approxmc_search,
         )
         result = counter.count()
+        self.stats.bsat_calls += counter.bsat_calls
         if result.count is None:
             raise SamplingError("ApproxMC failed in every iteration")
         self.approx_count_result = result

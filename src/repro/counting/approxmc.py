@@ -16,6 +16,11 @@ Algorithm (faithful to CP 2013):
 * the final estimate is the **median** of ``t`` core iterations, with
   ``t = ⌈35·log₂(3/δ)⌉`` sufficing for the theoretical bound.
 
+This linear core is the only one.  The ApproxMC2 core (one prefix-consistent
+hash matrix per iteration, searched by exponential then binary probes over
+its prefixes) was dropped: it is as accurate, but it picks a different
+UniGen window ``q`` on some suite instances, and Algorithm 1 calls CP'13.
+
 The theoretical ``t`` is famously conservative; callers may override
 ``iterations`` (UniGen does, see :mod:`repro.core.unigen`) — the empirical
 confidence stays far above 1−δ, which the statistical tests check directly.
@@ -27,7 +32,6 @@ independent support this equals ``|R_F|``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..cnf.formula import CNF
 from ..errors import ToleranceError
@@ -52,12 +56,6 @@ def approxmc_iterations(delta: float) -> int:
     return math.ceil(35 * math.log2(3 / delta))
 
 
-@dataclass
-class _CoreOutcome:
-    estimate: int | None  # None = ⊥
-    exact: bool = False
-
-
 class ApproxMC:
     """Approximate model counter over a fixed formula.
 
@@ -73,12 +71,6 @@ class ApproxMC:
         theoretical ``⌈35·log₂(3/δ)⌉``).
     budget:
         Per-BSAT-call budget (conflicts and/or wall clock).
-    search:
-        ``"linear"`` — the CP'13 core, growing ``i`` one row at a time;
-        ``"galloping"`` — the ApproxMC2 core: one prefix-consistent hash
-        matrix per iteration, exponential probe then binary search over the
-        prefix length.  Cell sizes are monotone in the prefix length, so
-        this finds the same boundary with O(log n) BSAT calls.
     """
 
     def __init__(
@@ -89,7 +81,6 @@ class ApproxMC:
         iterations: int | None = None,
         rng: RandomSource | int | None = None,
         budget: Budget | None = None,
-        search: str = "linear",
     ):
         self.cnf = cnf
         self.epsilon = float(epsilon)
@@ -100,13 +91,12 @@ class ApproxMC:
         )
         if self.iterations < 1:
             raise ToleranceError("iterations must be >= 1")
-        if search not in ("linear", "galloping"):
-            raise ValueError("search must be 'linear' or 'galloping'")
-        self.search = search
         self._rng = as_random_source(rng)
         self._budget = budget
         self._svars = list(cnf.sampling_set_or_support())
         self._family = HxorFamily(self._svars) if self._svars else None
+        #: BSAT calls made so far: the shortcut plus every core's probes.
+        self.bsat_calls = 0
 
     def count(self) -> CountResult:
         """Run the full median-of-cores procedure.
@@ -132,11 +122,11 @@ class ApproxMC:
         estimates: list[int] = []
         failures = 0
         for _ in range(self.iterations):
-            outcome = self._core(session)
-            if outcome.estimate is None:
+            estimate = self._core(session)
+            if estimate is None:
                 failures += 1
             else:
-                estimates.append(outcome.estimate)
+                estimates.append(estimate)
         if not estimates:
             return CountResult(
                 count=None, iterations=self.iterations, failures=failures
@@ -153,6 +143,7 @@ class ApproxMC:
     # ------------------------------------------------------------------
     def _cell(self, session: SolverSession, xors):
         """BSAT of the cell ``xors`` cuts out, up to pivot+1 witnesses."""
+        self.bsat_calls += 1
         return session.bsat(
             xors,
             self.pivot + 1,
@@ -167,73 +158,21 @@ class ApproxMC:
             return None
         return len(cell)
 
-    def _core(self, session: SolverSession) -> _CoreOutcome:
-        """One ApproxMCCore run (CP'13 linear search)."""
-        if self.search == "galloping":
-            return self._core_galloping(session)
+    def _core(self, session: SolverSession) -> int | None:
+        """One ApproxMCCore run (CP'13 linear search); ``None`` is ⊥."""
         assert self._family is not None
         n = len(self._svars)
         for i in range(1, n + 1):
             constraint = self._family.draw(i, self._rng)
             size = self._cell_size(session, constraint.xors)
             if size is None:
-                return _CoreOutcome(estimate=None)
+                return None
             if 1 <= size <= self.pivot:
-                return _CoreOutcome(estimate=size * (1 << i))
+                return size * (1 << i)
             if size == 0:
                 # Larger i only shrinks cells further: fail this core.
-                return _CoreOutcome(estimate=None)
-        return _CoreOutcome(estimate=None)
-
-    def _core_galloping(self, session: SolverSession) -> _CoreOutcome:
-        """One ApproxMC2-style core: prefix-consistent matrix + galloping.
-
-        With a single matrix whose prefixes define the cells, |cell(i)| is
-        monotone non-increasing in i, so the boundary "first i with
-        |cell| <= pivot" is well-defined and binary-searchable.
-        """
-        assert self._family is not None
-        n = len(self._svars)
-        matrix = self._family.draw_matrix(n, self._rng)
-
-        sizes: dict[int, int] = {}
-
-        def size_at(i: int) -> int | None:
-            if i not in sizes:
-                got = self._cell_size(session, matrix.xors[:i])
-                if got is None:
-                    return None
-                sizes[i] = got
-            return sizes[i]
-
-        # Exponential probe for some prefix length with |cell| <= pivot.
-        # Every earlier probe was > pivot; by monotonicity, hi // 2 (which
-        # never exceeds the last failed probe) is a valid lower bracket.
-        probe = 1
-        while True:
-            size = size_at(probe)
-            if size is None:
-                return _CoreOutcome(estimate=None)
-            if size <= self.pivot:
-                hi = probe
-                break
-            if probe == n:
-                return _CoreOutcome(estimate=None)
-            probe = min(probe * 2, n)
-        lo = hi // 2  # |cell(lo)| > pivot (lo == 0 means the unhashed set)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            size = size_at(mid)
-            if size is None:
-                return _CoreOutcome(estimate=None)
-            if size <= self.pivot:
-                hi = mid
-            else:
-                lo = mid
-        boundary = size_at(hi)
-        if boundary is None or boundary == 0:
-            return _CoreOutcome(estimate=None)
-        return _CoreOutcome(estimate=boundary * (1 << hi))
+                return None
+        return None
 
 
 def approx_count(
@@ -243,7 +182,6 @@ def approx_count(
     iterations: int | None = None,
     rng: RandomSource | int | None = None,
     budget: Budget | None = None,
-    search: str = "linear",
 ) -> CountResult:
     """One-shot convenience wrapper around :class:`ApproxMC`."""
     return ApproxMC(
@@ -253,5 +191,4 @@ def approx_count(
         iterations=iterations,
         rng=rng,
         budget=budget,
-        search=search,
     ).count()

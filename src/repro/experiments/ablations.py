@@ -69,7 +69,6 @@ def ablation_support(
             epsilon=epsilon,
             sampling_set=hash_set,
             rng=rng.spawn(),
-            approxmc_search="galloping",
         )
         samples = sampler.sample_many(n_samples)
         stats = sampler.stats
@@ -99,21 +98,14 @@ def ablation_amortization(
     )
 
     start = time.monotonic()
-    sampler = UniGen(
-        instance.cnf, epsilon=epsilon, rng=rng.spawn(), approxmc_search="galloping"
-    )
+    sampler = UniGen(instance.cnf, epsilon=epsilon, rng=rng.spawn())
     sampler.sample_many(n_samples)
     amortized = time.monotonic() - start
     result.rows.append(["prepare once (UniGen)", amortized, amortized / n_samples])
 
     start = time.monotonic()
     for _ in range(n_samples):
-        fresh = UniGen(
-            instance.cnf,
-            epsilon=epsilon,
-            rng=rng.spawn(),
-            approxmc_search="galloping",
-        )
+        fresh = UniGen(instance.cnf, epsilon=epsilon, rng=rng.spawn())
         fresh.sample()
     unamortized = time.monotonic() - start
     result.rows.append(
@@ -175,7 +167,6 @@ def ablation_sparse(
             instance.cnf,
             epsilon=epsilon,
             rng=rng.spawn(),
-            approxmc_search="galloping",
             hash_density=density,
         )
         draws = []
@@ -229,10 +220,7 @@ def ablation_baselines(
 
     good_s = max(1, int(math.log2(truth_count)) - 2)
     samplers = [
-        ("UniGen (eps=6)", UniGen(
-            instance.cnf, epsilon=epsilon, rng=rng.spawn(),
-            approxmc_search="galloping",
-        )),
+        ("UniGen (eps=6)", UniGen(instance.cnf, epsilon=epsilon, rng=rng.spawn())),
         ("UniWit", UniWit(instance.cnf, rng=rng.spawn())),
         (f"XORSample' s={good_s}", XorSamplePrime(
             instance.cnf, s=good_s, rng=rng.spawn(),

@@ -1254,7 +1254,6 @@ def main(argv: list[str] | None = None) -> int:
                 epsilon=6.0 if epsilon is None else epsilon,
                 seed=args.seed,
                 bsat_timeout_s=args.bsat_timeout,
-                approxmc_search="galloping",
                 xor_count=args.xor_count,
             )
             if args.backend is not None:
@@ -1360,7 +1359,6 @@ def main(argv: list[str] | None = None) -> int:
                 epsilon=6.0 if epsilon is None else epsilon,
                 seed=args.seed,
                 bsat_timeout_s=args.bsat_timeout,
-                approxmc_search="galloping",
                 xor_count=args.xor_count,
             )
             broker = connect_broker(args.spool, token=args.auth_token,
@@ -1616,7 +1614,6 @@ def main(argv: list[str] | None = None) -> int:
             epsilon=args.epsilon,
             seed=args.seed,
             bsat_timeout_s=args.bsat_timeout,
-            approxmc_search="galloping",
         )
         try:
             cnf = read_dimacs(args.cnf_file)
@@ -1639,16 +1636,27 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:10s} [{prep:14s}] {entry.summary}")
         return 0
 
+    if args.command in ("count", "solve", "mis"):
+        from ..errors import ReproError
+
+        try:
+            cnf = read_dimacs(args.cnf_file)
+        except (ReproError, OSError) as exc:
+            print(f"c error: {exc}", file=sys.stderr)
+            return 2
+
     if args.command == "count":
-        cnf = read_dimacs(args.cnf_file)
-        counter = ApproxMC(
-            cnf,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            iterations=args.iterations,
-            rng=args.seed,
-            search="galloping",
-        )
+        try:
+            counter = ApproxMC(
+                cnf,
+                epsilon=args.epsilon,
+                delta=args.delta,
+                iterations=args.iterations,
+                rng=args.seed,
+            )
+        except ReproError as exc:  # an out-of-range ε, δ or --iterations
+            print(f"c error: {exc}", file=sys.stderr)
+            return 2
         result = counter.count()
         if result.count is None:
             print("c ApproxMC failed in every iteration")
@@ -1676,7 +1684,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "solve":
         from ..sat.solver import Solver
 
-        cnf = read_dimacs(args.cnf_file)
         budget = Budget(timeout_seconds=args.timeout)
         result = Solver(cnf, rng=args.seed).solve(budget=budget)
         print(f"s {result.status}")
@@ -1688,7 +1695,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "mis":
         from ..support import find_independent_support
 
-        cnf = read_dimacs(args.cnf_file)
         start = cnf.sampling_set
         mis = find_independent_support(
             cnf,

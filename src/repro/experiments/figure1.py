@@ -108,7 +108,7 @@ def run_figure1(
     sampler = make_sampler(
         "unigen",
         cnf,
-        SamplerConfig(epsilon=epsilon, approxmc_search="galloping"),
+        SamplerConfig(epsilon=epsilon),
         rng=rng,
     )
     svars = instance.sampling_set

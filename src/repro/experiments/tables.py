@@ -48,7 +48,6 @@ class TableConfig:
     uniwit_samples: int = 5
     bsat_timeout_s: float = 10.0
     per_instance_timeout_s: float = 120.0
-    approxmc_search: str = "galloping"
     seed: int = 2014
     include_uniwit: bool = True
     # Registry names of the two columns; any entry of
@@ -63,7 +62,6 @@ def run_row(entry: RegistryEntry, config: TableConfig, rng: RandomSource) -> Tab
     api_config = SamplerConfig(
         epsilon=config.epsilon,
         bsat_timeout_s=config.bsat_timeout_s,
-        approxmc_search=config.approxmc_search,
     )
 
     unigen = run_named_sampler(

@@ -149,27 +149,6 @@ class HxorFamily:
             rows.append(XorClause.from_vars(vs, bool(a0 ^ alpha_i)))
         return HashConstraint(num_rows=m, xors=tuple(rows))
 
-    def draw_matrix(
-        self, max_rows: int, rng: RandomSource | int | None = None
-    ) -> HashConstraint:
-        """Draw ``max_rows`` rows once, for prefix-consistent searching.
-
-        Using the first ``i`` rows of one draw for hash size ``i`` makes cell
-        sizes monotone non-increasing in ``i`` — the property ApproxMC2
-        (Chakraborty/Meel/Vardi 2016) exploits to replace the linear search
-        of CP'13 with galloping/binary search.  Slicing a fresh draw is
-        distributionally identical to drawing each prefix independently row
-        by row.
-        """
-        return self.draw(max_rows, rng)
-
-    @staticmethod
-    def prefix(constraint: HashConstraint, rows: int) -> HashConstraint:
-        """The sub-constraint of the first ``rows`` rows."""
-        if rows > constraint.num_rows:
-            raise ValueError("prefix longer than the drawn matrix")
-        return HashConstraint(num_rows=rows, xors=constraint.xors[:rows])
-
     def hash_of(self, constraint: HashConstraint, assignment: dict[int, bool]) -> bool:
         """True iff ``assignment`` lands in the cell selected by ``constraint``."""
         return all(x.evaluate(assignment) for x in constraint.xors)

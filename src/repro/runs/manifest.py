@@ -23,6 +23,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ..api.config import RETIRED_DEFAULTS
 from ..errors import ManifestMismatch, ResumeError
 
 #: Bump when the manifest layout changes incompatibly; loaders refuse
@@ -36,12 +37,6 @@ MANIFEST_SCHEMA_VERSION = 1
 #: ``gf2_backend`` are retired knobs that never changed a stream, so older
 #: manifests may record them at any value.
 _CONFIG_SKIP = ("seed", "solver_reuse", "gf2_backend")
-
-#: Retired knobs that did change the stream, with the value that left it
-#: alone.  A missing key compares as that value, so a manifest recording
-#: it resumes; any other recorded value names a stream this version can
-#: no longer draw, and the resume is refused.
-_RETIRED_DEFAULTS = {"matrix_reuse": False}
 
 
 def manifest_path(out_path) -> Path:
@@ -200,7 +195,10 @@ class RunManifest:
             diff("out_format", self.out_format, out_format)
         keys = set(self.config) | set(config)
         for key in sorted(keys - set(_CONFIG_SKIP)):
-            default = _RETIRED_DEFAULTS.get(key)
+            # A retired key missing on either side compares as the value
+            # this version runs, so only a different recorded value (a
+            # stream this version cannot draw) refuses the resume.
+            default = RETIRED_DEFAULTS.get(key)
             recorded = self.config.get(key, default)
             live = config.get(key, default)
             if recorded != live:

@@ -11,7 +11,7 @@ Each entry records
 
 Two scales are provided:
 
-* ``"quick"`` — small instances for CI and ``pytest-benchmark`` runs
+* ``"quick"`` — small instances for CI and ``repro bench`` runs
   (seconds per row);
 * ``"full"``  — larger instances for standalone CLI runs (minutes per row),
   still far below the paper's absolute sizes: the paper used a C++ solver

@@ -99,9 +99,11 @@ class TestSamplerConfig:
 
     @pytest.mark.parametrize("retired", [
         {"matrix_reuse": False},
+        {"approxmc_search": "linear"},
         {"solver_reuse": True, "gf2_backend": "numpy"},
         {"solver_reuse": False, "gf2_backend": None},
-    ], ids=["matrix-reuse-off", "neutral-knobs-set", "neutral-knobs-off"])
+    ], ids=["matrix-reuse-off", "approxmc-linear", "neutral-knobs-set",
+            "neutral-knobs-off"])
     def test_from_dict_loads_stream_neutral_retired_keys(self, retired):
         config = SamplerConfig.from_dict({"seed": 3, **retired})
         assert config == SamplerConfig(seed=3)
@@ -109,6 +111,10 @@ class TestSamplerConfig:
     def test_from_dict_refuses_the_retired_matrix_reuse_stream(self):
         with pytest.raises(ValueError, match="matrix_reuse"):
             SamplerConfig.from_dict({"matrix_reuse": True, "seed": 3})
+
+    def test_from_dict_refuses_the_retired_galloping_counter(self):
+        with pytest.raises(ValueError, match="approxmc_search"):
+            SamplerConfig.from_dict({"approxmc_search": "galloping"})
 
     def test_budget_none_when_unlimited(self):
         assert SamplerConfig().budget() is None

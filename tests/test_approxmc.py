@@ -37,10 +37,6 @@ class TestParameters:
         with pytest.raises(ToleranceError):
             approxmc_iterations(1.0)
 
-    def test_bad_search_mode(self):
-        with pytest.raises(ValueError):
-            ApproxMC(CNF(1), search="secret")
-
     def test_bad_iterations(self):
         with pytest.raises(ToleranceError):
             ApproxMC(CNF(1), iterations=0)
@@ -74,12 +70,11 @@ class TestExactShortcut:
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("search", ["linear", "galloping"])
     @pytest.mark.parametrize("true_count", [200, 1000, 3000])
-    def test_estimate_within_tolerance(self, search, true_count):
+    def test_estimate_within_tolerance(self, true_count):
         cnf = exactly_k_solutions_formula(12, true_count)
         cnf.sampling_set = range(1, 13)
-        result = approx_count(cnf, iterations=5, rng=42, search=search)
+        result = approx_count(cnf, iterations=5, rng=42)
         assert result.count is not None
         assert true_count / 1.8 <= result.count <= 1.8 * true_count
 
@@ -89,7 +84,7 @@ class TestTolerance:
         true_count = count_models(cnf)
         if true_count == 0:
             return
-        result = approx_count(cnf, iterations=5, rng=seed, search="galloping")
+        result = approx_count(cnf, iterations=5, rng=seed)
         assert result.count is not None
         assert true_count / 1.8 <= result.count <= 1.8 * true_count
 
@@ -109,14 +104,3 @@ class TestTolerance:
             ):
                 hits += 1
         assert hits >= int(0.9 * trials)
-
-
-class TestSearchModesAgree:
-    def test_same_order_of_magnitude(self):
-        cnf = exactly_k_solutions_formula(13, 5000)
-        cnf.sampling_set = range(1, 14)
-        linear = approx_count(cnf, iterations=5, rng=7, search="linear")
-        galloping = approx_count(cnf, iterations=5, rng=7, search="galloping")
-        assert linear.count is not None and galloping.count is not None
-        ratio = linear.count / galloping.count
-        assert 1 / 4 <= ratio <= 4

@@ -135,6 +135,32 @@ class TestCliToolCommands:
         assert "c ind" in out
         assert "|support| = 1" in out
 
+    @pytest.mark.parametrize("command", ["count", "solve", "mis"])
+    @pytest.mark.parametrize("text", [None, "p cnf 2 1\n1 2\n"],
+                             ids=["missing", "malformed"])
+    def test_bad_input_exits_2_not_unsat(self, tmp_path, capsys, command,
+                                         text):
+        """Exit 1 means UNSAT; an unreadable file is a usage error."""
+        from repro.experiments.cli import main
+
+        path = tmp_path / "bad.cnf"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("c error: ")
+
+    @pytest.mark.parametrize("flag", [["--epsilon", "0"],
+                                      ["--iterations", "0"]],
+                             ids=["epsilon", "iterations"])
+    def test_count_bad_tolerance_exits_2(self, tmp_path, capsys, flag):
+        from repro.cnf import write_dimacs
+        from repro.experiments.cli import main
+
+        path = tmp_path / "f.cnf"
+        write_dimacs(CNF(2, clauses=[[1, 2]]), path)
+        assert main(["count", str(path), *flag]) == 2
+        assert capsys.readouterr().err.startswith("c error: ")
+
 
 class TestExamplesCompile:
     def test_examples_are_valid_python(self):

@@ -22,8 +22,7 @@ class TestRunner:
         instance = build("case121", "quick")
         m = run_sampler(
             instance,
-            lambda inst: UniGen(inst.cnf, epsilon=6.0, rng=1,
-                                approxmc_search="galloping"),
+            lambda inst: UniGen(inst.cnf, epsilon=6.0, rng=1),
             n_samples=4,
         )
         assert m.sampler == "UniGen"
@@ -49,8 +48,7 @@ class TestRunner:
         instance = build("case121", "quick")
         m = run_sampler(
             instance,
-            lambda inst: UniGen(inst.cnf, epsilon=6.0, rng=1,
-                                approxmc_search="galloping"),
+            lambda inst: UniGen(inst.cnf, epsilon=6.0, rng=1),
             n_samples=10_000,
             overall_timeout_s=1.0,
         )
@@ -65,7 +63,6 @@ class TestRunner:
                 inst.cnf, epsilon=6.0, rng=1,
                 bsat_budget=Budget(max_conflicts=1),
                 max_retries_per_cell=1,
-                approxmc_search="galloping",
             ),
             n_samples=5,
         )

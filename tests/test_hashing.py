@@ -98,37 +98,6 @@ class TestStatisticalProperties:
         assert abs(collisions - expected) < 5 * expected**0.5
 
 
-class TestPrefix:
-    def test_prefix_slices_rows(self):
-        family = HxorFamily(range(1, 9))
-        matrix = family.draw_matrix(8, rng=5)
-        prefix = family.prefix(matrix, 3)
-        assert prefix.xors == matrix.xors[:3]
-
-    def test_prefix_too_long_raises(self):
-        family = HxorFamily(range(1, 5))
-        matrix = family.draw_matrix(2, rng=0)
-        with pytest.raises(ValueError):
-            family.prefix(matrix, 3)
-
-    def test_prefix_cells_are_monotone(self):
-        """|cell(i+1)| <= |cell(i)| — the ApproxMC2 galloping invariant."""
-        from itertools import product
-
-        n = 6
-        family = HxorFamily(range(1, n + 1))
-        matrix = family.draw_matrix(n, rng=17)
-        sizes = []
-        for i in range(n + 1):
-            count = 0
-            for bits in product([False, True], repeat=n):
-                assignment = dict(zip(range(1, n + 1), bits))
-                if all(x.evaluate(assignment) for x in matrix.xors[:i]):
-                    count += 1
-            sizes.append(count)
-        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-
-
 class CountingSource(RandomSource):
     """RandomSource that records every primitive draw (for RNG contracts)."""
 

@@ -46,8 +46,7 @@ class TestRunnerOptions:
         instance = build("case121", "quick")
         m = run_sampler(
             instance,
-            lambda inst: UniGen(inst.cnf, epsilon=6.0, rng=1,
-                                approxmc_search="galloping"),
+            lambda inst: UniGen(inst.cnf, epsilon=6.0, rng=1),
             n_samples=3,
             keep_witnesses=True,
         )

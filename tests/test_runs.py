@@ -357,10 +357,11 @@ class TestWriterGuards:
 
 
 #: The config a default ``--sampler unigen2 --seed 7`` run recorded before
-#: the ``solver_reuse``, ``matrix_reuse`` and ``gf2_backend`` knobs were
-#: retired.
+#: the ``solver_reuse``, ``matrix_reuse``, ``gf2_backend`` and
+#: ``approxmc_search`` knobs were retired, with the linear ApproxMC core
+#: this version runs.
 PARENT_ERA_CONFIG = {
-    "approxmc_iterations": 9, "approxmc_search": "galloping",
+    "approxmc_iterations": 9, "approxmc_search": "linear",
     "bsat_timeout_s": 60.0, "bucket": 32, "enum_limit": 200000,
     "epsilon": 6.0, "gf2_backend": None, "hash_density": 0.5,
     "leapfrog": False, "matrix_reuse": False, "max_cell": 10000,
@@ -424,6 +425,22 @@ class TestRetiredConfigKeys:
         assert info.value.mismatches == [
             "config.matrix_reuse: manifest=True live=False"
         ]
+
+    def test_galloping_counter_is_refused(self, cnf_path, tmp_path, capsys):
+        out, _ = self._cut_run(cnf_path, tmp_path,
+                               approxmc_search="galloping")
+        capsys.readouterr()
+        assert main(["sample", str(cnf_path), "--sampler", "unigen2",
+                     "--resume", str(out)]) == 2
+        assert "config.approxmc_search" in capsys.readouterr().err
+        manifest = RunManifest.load(manifest_path(out))
+        live = {k: v for k, v in PARENT_ERA_CONFIG.items()
+                if k not in ("solver_reuse", "matrix_reuse", "gf2_backend",
+                             "approxmc_search")}
+        assert manifest.mismatches_against(
+            formula_hash=manifest.formula_hash, sampler="unigen2",
+            config=live,
+        ) == ["config.approxmc_search: manifest='galloping' live='linear'"]
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,25 @@ class TestHashingPath:
         assert sampler.q == q
         assert sampler.stats.bsat_calls == calls
 
+    def test_prepare_counts_approxmc_bsat_calls(self, monkeypatch):
+        """Every ApproxMC probe is a BSAT call of the prepare, next to the
+        easy-case check, and the exported artifact reports them all."""
+        from repro.api import PreparedFormula
+        from repro.sat.enumerate import SolverSession
+
+        probes = []
+        real_bsat = SolverSession.bsat
+
+        def counting_bsat(self, *args, **kwargs):
+            probes.append(1)
+            return real_bsat(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolverSession, "bsat", counting_bsat)
+        sampler = UniGen(small_instance(), rng=9)
+        prepared = PreparedFormula.from_sampler(sampler)
+        assert sampler.q is not None and len(probes) > 1
+        assert prepared.prepare_bsat_calls == 1 + len(probes)
+
     def test_samples_are_witnesses(self):
         cnf = small_instance()
         sampler = UniGen(cnf, epsilon=6.0, rng=4)

@@ -156,38 +156,29 @@ _register(
 
 def _run_unigen_sweep(params: dict) -> dict:
     from ..api.config import SamplerConfig
-    from ..api.registry import make_sampler
+    from ..execution import build_plan, make_backend
     from ..suite import registry as suite_registry
 
     instance = suite_registry.build(params["benchmark"], params["scale"])
     config = SamplerConfig(epsilon=6.0, seed=int(params["seed"]))
     n = int(params["n"])
     jobs = int(params["jobs"])
-    if jobs > 1:
-        from ..execution import build_plan, make_backend
-
-        # The plan runs lines 1–11 once in this process, so its build is
-        # the prepare cost, exactly as sampler.prepare() is below.
-        start = time.perf_counter()
-        plan = build_plan(instance.cnf, n, config, sampler=params["sampler"])
-        prepare_s = time.perf_counter() - start
+    # The plan runs lines 1–11 once in this process, so its build is the
+    # prepare cost; the stream and its stats are the backend's alone.
+    start = time.perf_counter()
+    plan = build_plan(instance.cnf, n, config, sampler=params["sampler"])
+    prepare_s = time.perf_counter() - start
+    if jobs == 1:
+        backend = make_backend("serial")
+    else:
         backend = make_backend(
             "pool", jobs=jobs, window=params["window"] or None
         )
-        start = time.perf_counter()
-        report = backend.collect(plan)
-        wall = prepare_s + (time.perf_counter() - start)
-        witnesses = len(report.witnesses)
-        stats = report.stats
-    else:
-        sampler = make_sampler(params["sampler"], instance.cnf, config)
-        start = time.perf_counter()
-        sampler.prepare()
-        prepare_s = time.perf_counter() - start
-        start = time.perf_counter()
-        witnesses = len(sampler.sample_until(n, max_attempts=10 * n))
-        wall = prepare_s + (time.perf_counter() - start)
-        stats = sampler.stats
+    start = time.perf_counter()
+    report = backend.collect(plan)
+    wall = prepare_s + (time.perf_counter() - start)
+    witnesses = len(report.witnesses)
+    stats = report.stats
     sample_s = max(wall - prepare_s, 0.0)
     return {
         "wall_s": round(wall, 4),

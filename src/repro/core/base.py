@@ -255,6 +255,16 @@ class WitnessSampler(ABC):
         """Witnesses one successful attempt can yield (1 unless batched)."""
         return 1
 
+    def draws_per_instance(self, n: int) -> int:
+        """Draws of an ``n``-draw run one instance serves without waste.
+
+        A fresh instance pays for set-up and harvests that a shorter run
+        would throw away; default chunking
+        (:func:`~repro.parallel.plan.default_chunk_size`) rounds chunks up
+        to a multiple of this.  1 when every draw pays its own way.
+        """
+        return 1
+
     def sample_batch(self) -> list[Witness]:
         """One attempt's worth of witnesses; empty list on ⊥.
 

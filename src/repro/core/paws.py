@@ -104,6 +104,10 @@ class PawsStyle(WitnessSampler):
             math.ceil(math.log2(result.count)) - math.ceil(math.log2(self.bucket)),
         )
 
+    def draws_per_instance(self, n: int) -> int:
+        """The whole run: every instance pays for its own ApproxMC count."""
+        return max(1, n)
+
     def _sample_once(self) -> Witness | None:
         self.prepare()
         assert self._m is not None and self._family is not None

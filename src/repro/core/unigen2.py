@@ -46,6 +46,12 @@ class UniGen2(UniGen):
         """Witnesses harvested per accepted cell: ``⌈loThresh⌉``."""
         return max(1, math.ceil(self.kp.lo_thresh))
 
+    def draws_per_instance(self, n: int) -> int:
+        """One accepted cell's harvest; 1 in the easy case, where every
+        draw is an independent pick from the cached witness list."""
+        self.prepare()
+        return 1 if self._easy_witnesses is not None else self.batch_size()
+
     def sample_batch(self) -> list[Witness]:
         """One cell draw, many witnesses.
 

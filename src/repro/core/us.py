@@ -82,5 +82,9 @@ class EnumerativeUniformSampler(WitnessSampler):
     def count(self) -> int:
         return len(self._witnesses)
 
+    def draws_per_instance(self, n: int) -> int:
+        """The whole run: every instance enumerates ``R_F`` in full."""
+        return max(1, n)
+
     def _sample_once(self) -> Witness | None:
         return dict(self._rng.choice(self._witnesses))

@@ -33,8 +33,6 @@ from .base import (
     StreamEvent,
     build_plan,
 )
-from .brokered import BrokerBackend
-from .pool import PoolBackend
 from .registry import (
     BackendEntry,
     available_backends,
@@ -60,3 +58,16 @@ __all__ = [
     "get_backend_entry",
     "make_backend",
 ]
+
+
+def __getattr__(name: str):
+    # The pool and broker backends load on first use (registry._BUILTIN).
+    if name == "PoolBackend":
+        from .pool import PoolBackend
+
+        return PoolBackend
+    if name == "BrokerBackend":
+        from .brokered import BrokerBackend
+
+        return BrokerBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -43,7 +43,7 @@ from ..parallel.plan import (
     chunk_plan,
     default_chunk_size,
 )
-from ..rng import fresh_root_seed
+from ..rng import RandomSource, fresh_root_seed
 
 #: Fallback in-flight window when a backend is not given one explicitly.
 DEFAULT_WINDOW = 4
@@ -168,16 +168,19 @@ def build_plan(
 ) -> ExecutionPlan:
     """The shared front half of every execution path.
 
-    Pre-flight first: construct (and discard) one sampler in the
-    submitting process so bad arguments — an ε/sampling-set mismatch with
-    the artifact, a missing ``xor_count`` — fail here with a clean error
-    instead of inside every worker.  Samplers without a prepare phase
-    accept an artifact by adopting its embedded formula.
+    Samplers with a prepare phase run lines 1–11 here, once, unless
+    handed an artifact already; samplers without one take the bare
+    formula (an artifact's embedded one).  One instance is then built
+    over that target in the submitting process, so bad arguments — an
+    ε/sampling-set mismatch with the artifact, a missing ``xor_count`` —
+    fail here with a clean error instead of inside every worker.
 
     ``chunk_size``
         Witnesses per chunk; ``None`` applies
-        :func:`~repro.parallel.plan.default_chunk_size`.  Part of the
-        determinism key — two runs agree only if their chunking agrees.
+        :func:`~repro.parallel.plan.default_chunk_size` to that instance's
+        :meth:`~repro.core.base.WitnessSampler.draws_per_instance`.  Part
+        of the determinism key — two runs agree only if their chunking
+        agrees.
     ``max_attempts_factor``
         Per chunk, allow ``count × factor`` batch attempts before the
         chunk returns short (⊥-heavy samplers must terminate; Theorem 1
@@ -191,7 +194,7 @@ def build_plan(
         are a ``ValueError``.
     """
     from ..api.config import SamplerConfig
-    from ..api.prepared import PreparedFormula
+    from ..api.prepared import PreparedFormula, prepare
     from ..api.registry import get_entry, make_sampler
 
     if n < 0:
@@ -204,18 +207,19 @@ def build_plan(
         )
     config = config or SamplerConfig()
     entry = get_entry(sampler)
-    preflight_target = cnf_or_prepared
-    if not entry.supports_prepared and isinstance(
-        cnf_or_prepared, PreparedFormula
-    ):
-        preflight_target = cnf_or_prepared.cnf
-    make_sampler(entry.name, preflight_target, config)
-
     root_seed = config.seed if config.seed is not None else fresh_root_seed()
-    resolved_chunk_size = (
-        chunk_size if chunk_size is not None else default_chunk_size(n)
-    )
-    tasks = chunk_plan(n, resolved_chunk_size, root_seed, max_attempts_factor)
+    target = cnf_or_prepared
+    if isinstance(target, PreparedFormula):
+        if not entry.supports_prepared:
+            target = target.cnf
+    elif entry.supports_prepared:
+        # Prepared under the root seed, so a run seeded from OS entropy
+        # replays exactly with the root seed it records.
+        target = prepare(target, config, rng=RandomSource(root_seed))
+    instance = make_sampler(entry.name, target, config)
+    if chunk_size is None:
+        chunk_size = default_chunk_size(n, instance.draws_per_instance(n))
+    tasks = chunk_plan(n, chunk_size, root_seed, max_attempts_factor)
     if only_chunks is not None:
         wanted = set(only_chunks)
         known = {task.index for task in tasks}
@@ -226,14 +230,13 @@ def build_plan(
                 f"the plan's 0..{len(tasks) - 1} range"
             )
         tasks = [task for task in tasks if task.index in wanted]
-    payload = build_payload(cnf_or_prepared, entry, config)
     return ExecutionPlan(
         sampler=entry.name,
         n=n,
-        chunk_size=resolved_chunk_size,
+        chunk_size=chunk_size,
         root_seed=root_seed,
         tasks=tuple(tasks),
-        payload=payload,
+        payload=build_payload(target, entry.name, config),
     )
 
 

@@ -12,6 +12,7 @@ one factory.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +32,16 @@ class BackendEntry:
 
 _REGISTRY: dict[str, BackendEntry] = {}
 
+#: The built-in backends' modules, imported on first use: the pool loads
+#: ``multiprocessing`` and the broker the whole distributed package, which
+#: a serial run never needs.
+_BUILTIN = {"serial": "serial", "pool": "pool", "broker": "brokered"}
+
+
+def _load_builtin(key: str) -> None:
+    if key not in _REGISTRY and key in _BUILTIN:
+        importlib.import_module(f"{__package__}.{_BUILTIN[key]}")
+
 
 def register_backend(
     name: str, *, summary: str = ""
@@ -49,13 +60,17 @@ def register_backend(
 
 def available_backends() -> list[str]:
     """Canonical names of every registered backend, sorted."""
+    for key in _BUILTIN:
+        _load_builtin(key)
     return sorted(_REGISTRY)
 
 
 def get_backend_entry(name: str) -> BackendEntry:
     """Look up a registry entry; raises ``ValueError`` for unknown names."""
+    key = name.strip().lower()
+    _load_builtin(key)
     try:
-        return _REGISTRY[name.strip().lower()]
+        return _REGISTRY[key]
     except KeyError:
         raise ValueError(
             f"unknown backend {name!r}; available: {available_backends()}"

@@ -12,7 +12,8 @@ the sampling lifecycle as a tool:
 * ``repro sample FILE.cnf`` — witnesses of a DIMACS file (``c ind`` lines
   supply the sampling set); ``--sampler`` picks any registered algorithm,
   ``--prepared state.json`` reuses a cached artifact, ``--jobs N`` runs
-  the chunk plan on the serial (N=1) or pool backend, ``--smoke`` runs the
+  the chunk plan on the pool backend instead of the serial one (the
+  stream is the same), ``--smoke`` runs the
   built-in self-check CI exercises (``--smoke --jobs 2`` adds the pool
   leg);
 * ``repro bench --config sweep.json`` — the config-driven benchmark
@@ -72,6 +73,7 @@ from ..api import (
 from ..cnf.dimacs import read_dimacs
 from ..counting.approxmc import ApproxMC
 from ..sat.types import Budget
+from ..sinks.base import StreamSink
 from ..suite.registry import entries
 from .ablations import run_all_ablations
 from .figure1 import run_figure1
@@ -137,22 +139,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xor-count", type=int, default=None,
                    help="XOR count s (required by --sampler xorsample)")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="run the chunk plan with N worker processes (the"
-                        " pool backend; N=1 runs the identical chunked"
-                        " pipeline in-process on the serial backend);"
-                        " default: classic serial path")
+                   help="run the chunk plan with N worker processes on the"
+                        " pool backend (default 1: in this process on the"
+                        " serial backend); every N draws the same stream")
     p.add_argument("--chunk-size", type=int, default=None,
-                   help="witnesses per parallel work unit (default: derived"
-                        " from -n, independent of --jobs)")
+                   help="witnesses per chunk, each drawn by a fresh sampler"
+                        " (default: derived from -n and rounded up to what"
+                        " one sampler serves without waste: a whole cell"
+                        " for hashed unigen2, the whole run for paws and"
+                        " us; never from --jobs or --backend)")
     p.add_argument("--smoke", action="store_true",
                    help="fast self-check of the whole lifecycle on a tiny"
                         " built-in formula (used by CI); with --jobs N also"
                         " exercises the pool backend")
     p.add_argument("--backend", choices=("serial", "pool", "broker"),
                    default=None,
-                   help="execution backend of the streaming layer (default:"
-                        " picked from --jobs/--broker); all backends draw"
-                        " the byte-identical witness stream for one seed")
+                   help="backend that executes the chunk plan (default:"
+                        " broker with --broker, pool with --jobs N > 1,"
+                        " else serial); all backends draw the"
+                        " byte-identical witness stream for one seed")
     p.add_argument("--stream", action="store_true",
                    help="emit each witness as soon as its chunk arrives"
                         " instead of buffering the full run (the"
@@ -624,7 +629,8 @@ def _parse_tenant(spec: str):
 
 def _reraise_worker_failure(exc):
     """Map a worker-side ``UnsatisfiableError`` back to the real thing so
-    every broker/pool path reports UNSAT exactly like the serial path."""
+    UNSAT found by a sample-only sampler's first draw exits like UNSAT
+    found while preparing (``s UNSATISFIABLE``, exit 1)."""
     from ..errors import UnsatisfiableError
 
     if exc.remote_type == "UnsatisfiableError":
@@ -687,16 +693,15 @@ DEFAULT_FSYNC_EVERY = 64
 def _build_sinks(args, target):
     """The ``--gate-online`` / ``--out`` sink pipeline.
 
-    Returns ``(composed_sink, gate, writer)`` — any of them ``None`` when
-    the matching flag is off; the writer is surfaced separately so the
-    coordinator can fold a resumed file's retained draws into its
-    delivered count.
+    Returns ``(sinks, gate, writer)``: the sinks in stream order, and the
+    gate and writer (``None`` when their flag is off) surfaced separately
+    so the coordinator can read the verdict and fold a resumed file's
+    retained draws into its delivered count.
     """
     from ..sinks import (
         DimacsWitnessWriter,
         JsonlWitnessWriter,
         OnlineUniformityGate,
-        compose,
     )
     from ..stats import AlphaSpendingSchedule, witness_key
 
@@ -743,7 +748,7 @@ def _build_sinks(args, target):
             schedule=schedule,
         )
         sinks.append(gate)
-    return (compose(*sinks) if sinks else None), gate, writer
+    return sinks, gate, writer
 
 
 def _formula_hash(target) -> str:
@@ -791,17 +796,48 @@ def _prepare_resume(args, target, config):
     return manifest, scan, pending
 
 
-def _run_backend_sample(args, target, config) -> int:
-    """``repro sample --backend …``: the streaming execution-layer path.
+class _CliSink(StreamSink):
+    """The terminal end of ``repro sample``'s stream, after any writer/gate.
 
-    One plan, any backend; with ``--stream`` each witness prints the
-    moment its chunk arrives and the process holds O(``--window``) chunks
-    (unless ``--report-json`` asks for the full per-draw record).  Without
+    Counts delivered draws, prints each witness at once (``echo``) or
+    keeps it for the end-of-run block (``buffer``), keeps per-draw
+    results for ``--report-json`` and ticks ``--progress``.
+    """
+
+    name = "cli"
+
+    def __init__(self, *, echo: bool, buffer: bool, keep_results: bool,
+                 meter=None):
+        self.echo = echo
+        self.witnesses = [] if buffer else None
+        self.results = [] if keep_results else None
+        self.meter = meter
+        self.delivered = 0
+
+    def accept(self, chunk_index, result) -> None:
+        if result.ok:
+            self.delivered += 1
+            if self.echo:
+                _print_witness(result.witness, flush=True)
+            elif self.witnesses is not None:
+                self.witnesses.append(result.witness)
+        if self.results is not None:
+            self.results.append(result)
+        if self.meter is not None:
+            self.meter.update(self.delivered)
+
+
+def _run_sample(args, target, config) -> int:
+    """``repro sample``: one chunk plan on the backend ``main`` picked.
+
+    With ``--stream`` each witness prints the moment its chunk arrives
+    and the process holds O(``--window``) chunks (unless
+    ``--report-json`` asks for the full per-draw record).  Without
     ``--stream`` the output is byte-identical anyway — the stream is
-    buffered and printed at the end, like the classic paths.  With
-    ``--gate-online`` the uniformity gate rides the stream; a trip
-    cancels the run (pool chunks terminated, broker job purged) and exits
-    with code 3 — the partial ``--out`` file stays well-formed.
+    buffered and printed at the end.  With ``--gate-online`` the
+    uniformity gate rides the stream; a trip cancels the run (pool chunks
+    terminated, broker job purged) and exits with code 3 — the partial
+    ``--out`` file stays well-formed.
 
     Every ``--out`` run writes ``<out>.manifest.json`` at start and flips
     it to ``status="complete"`` after a full stream, so ``--resume`` can
@@ -813,6 +849,7 @@ def _run_backend_sample(args, target, config) -> int:
     from ..errors import GateTripped
     from ..execution import build_plan, make_backend
     from ..runs import RunManifest, manifest_path, out_format
+    from ..sinks import run_stream
     from ..stats import ProgressMeter
 
     resume = args.resume is not None
@@ -886,7 +923,7 @@ def _run_backend_sample(args, target, config) -> int:
             in_flight=lambda: backend.in_flight,
         )
         meter_box.append(meter)
-    sink, gate, writer = _build_sinks(args, target)
+    sinks, gate, writer = _build_sinks(args, target)
     if args.out is not None and not resume:
         # The writer just vetted the path (no silent clobbering), so the
         # manifest can safely claim it.  Written before the first chunk
@@ -898,9 +935,12 @@ def _run_backend_sample(args, target, config) -> int:
             out_format=out_format(args.out),
         )
         manifest.write(manifest_path(args.out))
-    buffered = []  # witnesses, only when not streaming and not --out
-    results = [] if args.report_json else None
-    delivered = 0
+    cli = _CliSink(
+        echo=args.stream and args.out is None,
+        buffer=not args.stream and args.out is None,
+        keep_results=bool(args.report_json),
+        meter=meter,
+    )
     tripped: GateTripped | None = None
     start = _time.monotonic()
     if broker is not None:
@@ -911,42 +951,14 @@ def _run_backend_sample(args, target, config) -> int:
     else:
         workers_ctx = contextlib.nullcontext()
     with workers_ctx:
-        stream = backend.iter_sample_stream(
-            plan, on_chunk=sink.on_chunk if sink is not None else None
-        )
-        completed = False
         try:
-            for chunk_index, result in stream:
-                if sink is not None:
-                    sink.accept(chunk_index, result)
-                if result.ok:
-                    delivered += 1
-                    if args.stream and args.out is None:
-                        _print_witness(result.witness, flush=True)
-                    elif args.out is None:
-                        buffered.append(result.witness)
-                if results is not None:
-                    results.append(result)
-                if meter is not None:
-                    meter.update(delivered)
-            completed = True
+            # Last in line: a draw the gate trips on is never printed or
+            # counted.
+            run_stream(backend, plan, *sinks, cli)
         except GateTripped as trip:
             tripped = trip
-        finally:
-            if not completed:
-                # Cancel, don't finish — on a tripped gate and on any
-                # other mid-stream failure (a misconfigured gate universe,
-                # a full disk under --out) alike: close the stream
-                # (tearing down the pool's in-flight chunks) and drop the
-                # backend's remaining work (the broker purges its job, so
-                # a dead run never wedges its spool against the next
-                # submit).  Workers reaped by the surrounding context
-                # observe the vanished job and drain out.
-                stream.close()
-                backend.cancel_in_flight()
-            if sink is not None:
-                sink.close()
     wall = _time.monotonic() - start
+    delivered = cli.delivered
     if meter is not None:
         meter.finish()
     if tripped is not None:
@@ -961,13 +973,10 @@ def _run_backend_sample(args, target, config) -> int:
     # those draws were delivered (by the interrupted run) and live in the
     # completed file.
     total = delivered + (writer.resumed_draws if writer is not None else 0)
-    if args.stream or args.out is not None:
-        # Witnesses already went to stdout (streamed) or to --out; the -n
-        # contract still marks every undelivered draw with a BOT line on
-        # stdout, so a shortfall is machine-visible either way.
-        _print_witnesses([], args.num - total)
-    else:
-        _print_witnesses(buffered, args.num - total)
+    # Witnesses already went to stdout (streamed) or to --out unless
+    # buffered; the -n contract still marks every undelivered draw with a
+    # BOT line on stdout, so a shortfall is machine-visible either way.
+    _print_witnesses(cli.witnesses or [], args.num - total)
     stats = backend.stream_stats
     print(
         f"c {total}/{args.num} witnesses via {plan.sampler} "
@@ -1002,7 +1011,7 @@ def _run_backend_sample(args, target, config) -> int:
               file=sys.stderr)
     if args.report_json:
         report = backend.build_report(
-            plan, results=results, wall_time_seconds=wall
+            plan, results=cli.results, wall_time_seconds=wall
         )
         _maybe_report_json(args.report_json, report.to_dict())
     return 0 if verdict is None or verdict.passed else 3
@@ -1017,30 +1026,6 @@ def _maybe_report_json(path, data: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=2)
     print(f"c wrote report {path}", file=sys.stderr)
-
-
-def _serial_report_dict(sampler_name, sampler, results, witnesses, n,
-                        seed) -> dict:
-    """The serial path's ``--report-json`` payload: the inline run as one
-    chunk of a :class:`~repro.execution.SampleReport`, so report consumers
-    never branch on how the witnesses were drawn."""
-    from ..execution import SampleReport
-
-    stats = sampler.stats
-    wall = stats.sample_time_seconds
-    return SampleReport(
-        witnesses=witnesses,
-        results=results,
-        stats=stats,
-        sampler=sampler_name,
-        jobs=1,
-        n_requested=n,
-        chunk_size=n,
-        n_chunks=1,
-        root_seed=seed,
-        wall_time_seconds=wall,
-        chunk_times=[wall],
-    ).to_dict()
 
 
 def _print_witness(witness, flush: bool = False) -> None:
@@ -1172,17 +1157,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "sample":
-        from ..errors import ReproError, UnsatisfiableError
+        from ..errors import ReproError, UnsatisfiableError, WorkerFailure
 
         if args.smoke:
             return _run_smoke(jobs=args.jobs)
         if args.cnf_file is None and args.prepared is None:
             print("c error: need a CNF file, --prepared, or --smoke",
-                  file=sys.stderr)
-            return 2
-        if args.chunk_size is not None and args.chunk_size < 1:
-            # The flag-free path has no chunk plan to reject it later.
-            print(f"c error: chunk_size must be >= 1, got {args.chunk_size}",
                   file=sys.stderr)
             return 2
         if args.resume is not None:
@@ -1206,41 +1186,22 @@ def main(argv: list[str] | None = None) -> int:
             args.out = args.resume
         if args.num is None and args.resume is None:
             args.num = 1  # under --resume the manifest supplies n
-        # --broker, --jobs and the streaming flags route through the
-        # execution layer; pick the backend they imply when --backend
-        # itself was not spelled out.  (--broker unconditionally: the
-        # backend path IS the broker lifecycle — submit, spawn --jobs
-        # local workers, stream, purge — there is no second
-        # implementation to drift.)
-        if args.backend is None and args.broker is not None:
-            args.backend = "broker"
-        if args.backend is None and (
-            args.jobs is not None
-            or args.stream
-            or args.window is not None
-            or args.progress is not None
-            or args.gate_online
-            or args.out is not None
-        ):
-            # Any explicit multi/zero --jobs routes to the pool, whose
-            # constructor rejects 0 (exit 2) — never silently fall back
-            # to inline sampling.
-            args.backend = (
-                "serial" if args.jobs is None or args.jobs == 1 else "pool"
-            )
+        # Every run is a chunk plan; only the backend executing it varies.
+        # An explicit --jobs other than 1 (0 included) picks the pool,
+        # whose constructor rejects 0 — never a silent single process.
+        args.backend = args.backend or (
+            "broker" if args.broker is not None
+            else "serial" if args.jobs in (None, 1) else "pool"
+        )
         if args.backend == "broker" and args.broker is None:
             print("c error: --backend broker needs --broker TARGET "
                   "(a spool directory or tcp://host:port)", file=sys.stderr)
             return 2
-        if args.backend not in (None, "broker") and args.broker is not None:
+        if args.backend != "broker" and args.broker is not None:
             print(f"c error: --broker conflicts with --backend "
                   f"{args.backend}", file=sys.stderr)
             return 2
-        if (
-            args.backend == "serial"
-            and args.jobs is not None
-            and args.jobs != 1
-        ):
+        if args.backend == "serial" and args.jobs not in (None, 1):
             # Never silently drop requested parallelism (or a requested
             # --jobs 0): serial is inline and single-process by definition.
             print(f"c error: --jobs {args.jobs} conflicts with --backend "
@@ -1256,51 +1217,16 @@ def main(argv: list[str] | None = None) -> int:
                 bsat_timeout_s=args.bsat_timeout,
                 xor_count=args.xor_count,
             )
-            if args.backend is not None:
-                from ..errors import WorkerFailure
-
-                try:
-                    return _run_backend_sample(args, target, config)
-                except WorkerFailure as exc:
-                    _reraise_worker_failure(exc)
-            sampler = make_sampler(args.sampler, target, config)
-            preparer = getattr(sampler, "prepare", None)
-            if callable(preparer):
-                preparer()
+            try:
+                return _run_sample(args, target, config)
+            except WorkerFailure as exc:
+                _reraise_worker_failure(exc)
         except UnsatisfiableError:
             print("s UNSATISFIABLE")
             return 1
         except (ReproError, ValueError, OSError) as exc:
             print(f"c error: {exc}", file=sys.stderr)
             return 2
-        try:
-            # Same -n contract as the backend path: deliver args.num
-            # witnesses (bounded retries), BOT lines only for the shortfall.
-            results = sampler.sample_until_results(
-                args.num, max_attempts=10 * max(1, args.num)
-            )
-        except UnsatisfiableError:
-            # Sample-only samplers (uniwit, xorsample, …) have no prepare
-            # phase and discover UNSAT on the first draw.
-            print("s UNSATISFIABLE")
-            return 1
-        except ReproError as exc:
-            print(f"c error: {exc}", file=sys.stderr)
-            return 2
-        witnesses = [r.witness for r in results if r.ok]
-        _print_witnesses(witnesses, args.num - len(witnesses))
-        print(
-            f"c sampler={sampler.name} "
-            f"success={sampler.stats.success_probability:.3f} "
-            f"avg_xor_len={sampler.stats.avg_xor_length:.1f}",
-            file=sys.stderr,
-        )
-        _maybe_report_json(
-            args.report_json,
-            _serial_report_dict(get_entry(args.sampler).name, sampler,
-                                results, witnesses, args.num, args.seed),
-        )
-        return 0
 
     if args.command == "bench":
         from ..bench import ALGORITHMS, emit_trajectory, load_config, run_config

@@ -67,18 +67,21 @@ class ChunkTask(NamedTuple):
         )
 
 
-def default_chunk_size(n: int) -> int:
-    """The chunking policy: a pure function of ``n`` alone.
+def default_chunk_size(n: int, per_instance: int = 1) -> int:
+    """The chunking policy: a pure function of ``n`` and the sampler.
 
-    Deliberately **not** a function of the job count — if it were, running
-    the same seed under ``--jobs 1`` and ``--jobs 8`` would partition the
-    per-chunk seed sequence differently and draw different witnesses.
-    Aims for enough chunks to keep any pool busy (≥ 2 per witness up to 32
-    chunks) while amortizing the per-chunk sampler construction.
+    Deliberately **not** a function of the job count or the backend — if
+    it were, running the same seed under ``--jobs 1`` and ``--jobs 8``
+    would partition the per-chunk seed sequence differently and draw
+    different witnesses.  Aims for enough chunks to keep any pool busy
+    (≥ 2 per witness up to 32 chunks), then rounds up to a multiple of
+    ``per_instance``, the draws one sampler instance serves without waste
+    (:meth:`~repro.core.base.WitnessSampler.draws_per_instance`): a whole
+    accepted cell for UniGen2 on a hashed artifact, the whole run for PAWS
+    and US, whose set-up every chunk would otherwise repeat.
     """
-    if n <= 0:
-        return 1
-    return max(1, min(16, math.ceil(n / 32)))
+    size = 1 if n <= 0 else max(1, min(16, math.ceil(n / 32)))
+    return math.ceil(size / per_instance) * per_instance
 
 
 def chunk_plan(
@@ -99,32 +102,24 @@ def chunk_plan(
     return tasks
 
 
-def build_payload(cnf_or_prepared, entry, config) -> dict:
+def build_payload(target, sampler: str, config) -> dict:
     """The serialized per-worker payload (plain dicts and strings only).
 
-    For samplers with a prepare phase the expensive lines 1–11 run *here*,
-    in the submitting process, exactly once; workers adopt the artifact.
-    Samplers without one get the formula as DIMACS text (``c ind``/``x``
-    lines included) — the amortization gap the paper's Section 5 measures.
+    ``target`` is what every chunk's sampler is built over: a
+    :class:`~repro.api.prepared.PreparedFormula` for samplers with a
+    prepare phase, whose lines 1–11 ran once in the submitting process, or
+    the bare formula, shipped as DIMACS text (``c ind``/``x`` lines
+    included), for samplers without one.
     """
-    from ..api.prepared import PreparedFormula, prepare
+    from ..api.prepared import PreparedFormula
     from ..cnf.dimacs import to_dimacs
 
-    payload = {"sampler": entry.name, "config": config.to_dict()}
-    if entry.supports_prepared:
-        if isinstance(cnf_or_prepared, PreparedFormula):
-            artifact = cnf_or_prepared
-        else:
-            artifact = prepare(cnf_or_prepared, config)
-        payload["prepared"] = artifact.to_dict()
+    payload = {"sampler": sampler, "config": config.to_dict()}
+    if isinstance(target, PreparedFormula):
+        payload["prepared"] = target.to_dict()
     else:
-        cnf = (
-            cnf_or_prepared.cnf
-            if isinstance(cnf_or_prepared, PreparedFormula)
-            else cnf_or_prepared
-        )
-        payload["dimacs"] = to_dimacs(cnf)
-        payload["name"] = cnf.name
+        payload["dimacs"] = to_dimacs(target)
+        payload["name"] = target.name
     return payload
 
 

@@ -1,8 +1,11 @@
 """Worker side of the chunked sampling pipeline.
 
-Everything here runs inside a pool process (or, for ``jobs=1``, inline in
-the parent — through the *same* code path, so the jobs-invariance guarantee
-is enforced by construction rather than by careful duplication).
+Every chunk plan is drawn here, whichever entry point built it (the
+library's ``build_plan``, ``repro sample`` with or without ``--jobs``,
+the broker, the gateway): inside a pool process or a broker worker, or
+inline on the serial backend, through the *same* code path, so the
+jobs-invariance guarantee is enforced by construction rather than by
+careful duplication.
 
 Lifecycle:
 
@@ -13,7 +16,8 @@ Lifecycle:
   than a pickled object means the JSON round trip that ``repro prepare
   --out`` relies on is exercised on every parallel run.
 * :func:`run_chunk` handles one unit of work against the state it is
-  given: build a **fresh** sampler
+  given: build a **fresh** sampler (which is why default chunks are a
+  multiple of :meth:`~repro.core.base.WitnessSampler.draws_per_instance`)
   seeded from the chunk's deterministically derived seed, run the base
   class's :meth:`~repro.core.base.WitnessSampler.sample_until_results`
   retry loop for up to ``count`` witnesses, and return a plain-dict result

@@ -44,6 +44,16 @@ def hashed_instance(k=600, n=11):
     return cnf
 
 
+def _tiny():
+    """The README's six-variable example formula (easy case)."""
+    cnf = CNF()
+    cnf.add_clause([1, 2, 3])
+    cnf.add_clause([-1, -2])
+    cnf.add_clause([4, 5, 6])
+    cnf.sampling_set = range(1, 7)
+    return cnf
+
+
 class _JumpClock:
     """A fake monotonic clock advancing ``step`` seconds per reading.
 
@@ -74,6 +84,16 @@ def _blocking_chunk(task):
 def artifact():
     """One prepared hashed-case artifact shared by the module's tests."""
     return prepare(hashed_instance(), SamplerConfig(seed=77))
+
+
+@pytest.fixture(scope="module")
+def case121():
+    """The suite's hashed ``case121`` (as ``repro export`` writes it),
+    prepared at seed 1."""
+    from repro.suite import registry
+
+    return prepare(registry.build("case121", "quick").cnf,
+                   SamplerConfig(seed=1))
 
 
 class TestSeedDerivation:
@@ -109,12 +129,33 @@ class TestChunkPlan:
         seeds = [t[1] for t in chunk_plan(10, 3, 42, 10)]
         assert len(set(seeds)) == len(seeds)
 
-    def test_default_chunk_size_independent_of_jobs(self):
-        # The signature itself is the guarantee: jobs is not an input.
+    def test_default_chunk_size_independent_of_jobs(self, case121):
+        # The signature itself is the guarantee: neither jobs nor the
+        # backend is an input.
         assert default_chunk_size(1) == 1
         assert default_chunk_size(0) == 1
         assert 1 <= default_chunk_size(100) <= 16
         assert default_chunk_size(10_000) == 16
+        assert default_chunk_size(200, 26) == 26
+        # Rounded up to what one sampler instance serves without waste:
+        # a whole accepted cell (⌈loThresh⌉ = 26 at ε = 6) for UniGen2 on
+        # a hashed artifact, so no chunk discards part of its harvest.
+        config = SamplerConfig(seed=3)
+        plan = build_plan(case121, 200, config, sampler="unigen2")
+        assert plan.chunk_size % 26 == 0
+        assert SerialBackend().collect(plan).stats.attempts == 8
+        # PAWS and US pay their count or enumeration once per instance.
+        small = exactly_k_solutions_formula(6, 20)
+        for name in ("paws", "us"):
+            assert build_plan(small, 100, config, sampler=name).n_chunks == 1
+        # The perfbench shapes keep their chunking: UniGen draws on hashed
+        # artifacts, and easy-case UniGen2.
+        assert build_plan(case121, 25, config).chunk_size == 1
+        easy = prepare(small, config)
+        assert easy.is_easy
+        assert build_plan(
+            easy, 6400, config, sampler="unigen2"
+        ).chunk_size == 16
 
 
 class TestJobsInvariance:
@@ -365,6 +406,49 @@ class TestCliParallel:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].count("v ") == 6
+
+    @pytest.mark.parametrize("sampler", ["unigen", "unigen2"])
+    @pytest.mark.parametrize("formula", ["case121", "tiny"])
+    def test_one_stream_per_seed(self, tmp_path, capsys, case121,
+                                 sampler, formula):
+        """The flag-free run is the ``--jobs 1`` stream, and the pool's."""
+        from repro.experiments.cli import main
+
+        if formula == "case121":
+            case121.save(tmp_path / "state.json")
+            target = ["--prepared", str(tmp_path / "state.json")]
+        else:
+            target = [str(self._write(tmp_path, _tiny(), "tiny.cnf"))]
+        outputs = []
+        for extra in ([], ["--jobs", "1"], ["--jobs", "2"]):
+            assert main(["sample", *target, "-n", "40", "--seed", "5",
+                         "--sampler", sampler, *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].count("v ") == 40
+
+    @pytest.mark.parametrize("formula", ["tiny", "hashed"])
+    def test_entropy_run_replays_from_its_report(self, tmp_path, capsys,
+                                                 formula):
+        """A run without --seed records the root seed it drew, and that
+        seed replays it exactly (the hashed formula is prepared under it
+        too)."""
+        import json
+
+        from repro.experiments.cli import main
+
+        cnf = _tiny() if formula == "tiny" else hashed_instance()
+        path = str(self._write(tmp_path, cnf, "f.cnf"))
+        report = tmp_path / "r.json"
+        assert main(["sample", path, "-n", "3",
+                     "--report-json", str(report)]) == 0
+        first = capsys.readouterr().out
+        root_seed = json.loads(report.read_text())["root_seed"]
+        assert isinstance(root_seed, int)
+        assert main(["sample", path, "-n", "3",
+                     "--seed", str(root_seed)]) == 0
+        assert capsys.readouterr().out == first
+        assert first.count("v ") == 3
 
     @pytest.mark.parametrize("extra", [[], ["--jobs", "2"]])
     def test_unsat_reports_unsatisfiable_not_traceback(

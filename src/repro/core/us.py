@@ -55,9 +55,9 @@ class IdealUniformSampler:
 class EnumerativeUniformSampler(WitnessSampler):
     """Exactly uniform witness sampler by full enumeration (test oracle).
 
-    Enumerates all witnesses once (distinct on the sampling set), then
-    serves uniform draws.  Only suitable when ``|R_F|`` fits in memory —
-    enforced by ``limit``.
+    Enumerates all witnesses once (distinct on the sampling set), on the
+    first draw or ``count`` access, then serves uniform draws.  Only
+    suitable when ``|R_F|`` fits in memory — enforced by ``limit``.
     """
 
     name = "UniformEnum"
@@ -72,14 +72,25 @@ class EnumerativeUniformSampler(WitnessSampler):
         super().__init__()
         self.cnf = cnf
         self._rng = as_random_source(rng)
-        self._witnesses = enumerate_all(
-            cnf, sampling_set=sampling_set, limit=limit
+        self._limit = limit
+        self._sampling_set = sampling_set
+        self._witnesses: list[Witness] | None = None
+
+    def prepare(self) -> None:
+        """Enumerate ``R_F`` once; raises
+        :class:`~repro.errors.UnsatisfiableError` if it is empty."""
+        if self._witnesses is not None:
+            return
+        witnesses = enumerate_all(
+            self.cnf, sampling_set=self._sampling_set, limit=self._limit
         )
-        if not self._witnesses:
+        if not witnesses:
             raise UnsatisfiableError("formula has no witnesses")
+        self._witnesses = witnesses
 
     @property
     def count(self) -> int:
+        self.prepare()
         return len(self._witnesses)
 
     def draws_per_instance(self, n: int) -> int:
@@ -87,4 +98,5 @@ class EnumerativeUniformSampler(WitnessSampler):
         return max(1, n)
 
     def _sample_once(self) -> Witness | None:
+        self.prepare()
         return dict(self._rng.choice(self._witnesses))

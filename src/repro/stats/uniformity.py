@@ -27,6 +27,7 @@ permuted chunk stream sums the same floats in the same order).
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -122,21 +123,51 @@ def chi_square_uniform(
     return chi_square_from_counts(Counter(draws), universe_size)
 
 
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min / _EPS
+
+
 def _chi2_sf(x: float, k: int) -> float:
-    """Survival function of χ²_k.
+    """Survival function of χ²_k: ``Q(k/2, x/2)``, the regularized upper
+    incomplete gamma function, in the standard library only.
 
-    Uses scipy when available; otherwise the Wilson–Hilferty normal
-    approximation (accurate to ~1e-3 for k ≥ 10, ample for test gating).
+    With ``a = k/2`` and ``z = x/2``, below ``z < a + 1`` a power series
+    sums the lower tail ``P(a, z)`` and returns ``1 − P`` (there
+    ``Q > 0.08``, so the subtraction loses little relative accuracy); at
+    or above it the modified-Lentz continued fraction evaluates ``Q``
+    directly.  Both share the prefactor ``exp(a·ln z − z − lnΓ(a))``.
+    The tests pin the result against reference values to 1e-10 relative
+    for dof up to 1000 and 1e-8 up to dof 2^22 − 1, from p = 0.5 down to
+    1e-12, so a verdict depends only on the counts, never on the host.
+    ``x ≤ 0`` returns 1.0.
     """
-    try:  # pragma: no cover - environment dependent
-        from scipy.stats import chi2
-
-        return float(chi2.sf(x, k))
-    except Exception:  # pragma: no cover
-        if x <= 0:
-            return 1.0
-        z = ((x / k) ** (1.0 / 3.0) - (1 - 2.0 / (9 * k))) / math.sqrt(2.0 / (9 * k))
-        return 0.5 * math.erfc(z / math.sqrt(2))
+    if x <= 0:
+        return 1.0
+    a, z = 0.5 * k, 0.5 * x
+    prefactor = math.exp(a * math.log(z) - z - math.lgamma(a))
+    if z < a + 1.0:
+        term = total = 1.0 / a
+        denominator = a
+        while term > total * _EPS:
+            denominator += 1.0
+            term *= z / denominator
+            total += term
+        return 1.0 - prefactor * total
+    b = z + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    h, delta, i = d, 0.0, 0
+    while abs(delta - 1.0) > _EPS:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        delta = c * d
+        h *= delta
+    return prefactor * h
 
 
 def empirical_distribution(draws: Sequence[Hashable]) -> dict[Hashable, float]:

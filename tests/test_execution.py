@@ -272,6 +272,28 @@ class TestSerialIsolation:
         assert checked == 2 * self.N
 
 
+class TestPreflightCost:
+    def test_us_preflight_never_enumerates(self, instance, monkeypatch):
+        """``build_plan``'s pre-flight US instance only sizes the chunks;
+        each chunk's instance enumerates R_F once, on its first draw."""
+        import repro.core.us as us
+
+        calls = []
+        real = us.enumerate_all
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(us, "enumerate_all", counting)
+        cnf, config, _ = instance
+        plan = build_plan(cnf, 4, config, sampler="us")
+        assert calls == []
+        report = SerialBackend().collect(plan)
+        assert len(report.witnesses) == 4
+        assert len(calls) == len(plan.tasks)
+
+
 class TestStreamingStats:
     def test_stream_stats_accumulate_incrementally(self, plan, reference):
         backend = SerialBackend()
@@ -533,6 +555,16 @@ class TestBackendCli:
         unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
         assert main(["sample", str(unsat), "--backend", "serial",
                      "--stream", "--sampler", "uniwit"]) == 1
+        assert "s UNSATISFIABLE" in capsys.readouterr().out
+
+    def test_unsat_us_exits_1_when_its_chunk_enumerates(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments.cli import main
+
+        unsat = tmp_path / "unsat.cnf"
+        unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        assert main(["sample", str(unsat), "--sampler", "us", "-n", "2"]) == 1
         assert "s UNSATISFIABLE" in capsys.readouterr().out
 
     def test_worker_command_over_tcp(self, cnf_path, capsys):

@@ -10,14 +10,13 @@ produces on a small formula, plus the χ² statistic and min/max frequency
 ratios computed from it.  The test re-draws and demands
 
 * the histogram matches **exactly** (counts are integers — any mismatch is
-  a real behavioural change, not noise), and
+  a real behavioural change, not noise),
 * the χ² statistic and min/max-over-expected ratios match to 1e-9 across
   platforms (they are pure arithmetic over the counts; the sorted-key
-  summation in the counts core makes them order-independent).
-
-The χ² *p-value* is deliberately not pinned: it goes through scipy when
-available and a Wilson–Hilferty approximation otherwise, so it is a
-property of the environment, not of the sampler.
+  summation in the counts core makes them order-independent), and
+* the χ² p-value matches to 1e-12 relative.  The tail is computed in the
+  standard library alone (``repro.stats.uniformity._chi2_sf``), so like
+  the statistic it is a function of the counts, the same on every host.
 
 Regenerating after an intentional behaviour change::
 
@@ -45,7 +44,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden" / "uniformity"
 SEED = 20140601
 N_DRAWS = 240
 UNIVERSE = 8
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _instance():
@@ -85,10 +84,22 @@ def _statistics(histogram: dict[str, int]) -> dict:
     ratio = frequency_ratio_from_counts(histogram, UNIVERSE)
     return {
         "chi_square": chi.statistic,
+        "p_value": chi.p_value,
         "min_over_expected": ratio.min_over_expected,
         "max_over_expected": ratio.max_over_expected,
         "coverage": ratio.coverage,
     }
+
+
+def _assert_statistics_match(name: str, stats: dict, golden: dict) -> None:
+    for field, value in stats.items():
+        tolerance = (
+            {"rel_tol": 1e-12} if field == "p_value"
+            else {"rel_tol": 0.0, "abs_tol": 1e-9}
+        )
+        assert math.isclose(value, golden[field], **tolerance), (
+            f"{name}.{field}: {value} != {golden[field]}"
+        )
 
 
 def _fixture(name: str) -> dict:
@@ -128,12 +139,7 @@ def test_frequency_histogram_matches_golden(name):
         "RNG or cell-search drift (regen the fixture only if the change "
         "is intentional)"
     )
-    stats = _statistics(histogram)
-    for field in ("chi_square", "min_over_expected", "max_over_expected",
-                  "coverage"):
-        assert math.isclose(
-            stats[field], golden[field], rel_tol=0.0, abs_tol=1e-9
-        ), f"{name}.{field}: {stats[field]} != {golden[field]}"
+    _assert_statistics_match(name, _statistics(histogram), golden)
 
 
 @pytest.mark.parametrize("name", sorted(available_samplers()))
@@ -141,9 +147,7 @@ def test_golden_statistics_are_consistent_with_their_histogram(name):
     """The committed floats must be recomputable from the committed counts
     — catches a hand-edited fixture and pins the counts core itself."""
     golden = json.loads(_golden_path(name).read_text())
-    recomputed = _statistics(golden["histogram"])
-    for field, value in recomputed.items():
-        assert math.isclose(value, golden[field], rel_tol=0.0, abs_tol=1e-9)
+    _assert_statistics_match(name, _statistics(golden["histogram"]), golden)
     assert sum(golden["histogram"].values()) == golden["n_delivered"]
 
 

@@ -187,19 +187,44 @@ assert artifact.q is not None and any(w is not None for w in draws)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 """
 
+NO_SCIPY_GATE = """
+import sys
+from repro.core.base import SampleResult
+from repro.sinks import OnlineUniformityGate
+from repro.stats import uniformity_gate
+
+witnesses = [{1: a, 2: b} for a in (False, True) for b in (False, True)] * 40
+gate = OnlineUniformityGate(4)
+for witness in witnesses:
+    gate.accept(0, SampleResult(witness=witness))
+draws = [tuple(sorted(witness.items())) for witness in witnesses]
+assert gate.verdict().passed and uniformity_gate(draws, 4).passed
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def _run_in_fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a fresh interpreter over the repo's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
 
 class TestImports:
     def test_hashed_sampling_never_imports_numpy(self):
         """Prepare (ApproxMC) plus hashed UniGen draws stay numpy-free, so
         no user pays its import time or memory for sampling."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", NO_NUMPY_DRAWS],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        assert _run_in_fresh_interpreter(NO_NUMPY_DRAWS) == "[]"
+
+    def test_uniformity_gates_never_import_scipy(self):
+        """The online and offline gates compute their χ² tail in the
+        standard library, so a verdict is the same on every host."""
+        assert _run_in_fresh_interpreter(NO_SCIPY_GATE) == "[]"

@@ -14,8 +14,8 @@ Config schema (JSON)::
       "out_dir": "benchmarks/out",            // CSV directory (CLI can override)
       "algorithms": [
         {
-          "name": "gf2-elim",                  // registry key (required)
-          "parameters": {"vars": [512, 2048], "rows": [500]},
+          "name": "unigen-sweep",              // registry key (required)
+          "parameters": {"jobs": [1, 2], "n": [200]},
           "skip_existing": true                // default true
         }
       ]
@@ -28,28 +28,11 @@ combinations — append-only, never clobbering earlier measurements.
 
 Algorithms
 ----------
-``gf2-elim``
-    The rank-``rows`` Gaussian-elimination micro: random dense GF(2) rows
-    appended to a :class:`~repro.sat.gf2.BitMatrix` and read back in
-    reduced form.  This is the asymptotic sanity gate for the
-    back-substitution fix — the old O(p²) all-pairs scan would show up as
-    a collapse of ``rows_per_s`` at rank 500.
 ``unigen-sweep``
     End-to-end witness sampling over a suite benchmark, sweeping sampler ×
     jobs × window.  Honest wall-clock: the prepare phase (lines 1–11) and
     the sampling loop are reported separately so amortized and cold costs
     are both visible.
-``bsat-sweep``
-    The inner-loop cell sweep in isolation: identical ``Hxor`` draws
-    enumerated one-shot :func:`~repro.sat.enumerate.bsat` vs the shared
-    session the cell search uses (``mode``), so the fresh-vs-reuse pair at
-    matching identity *is* the incremental-CDCL speedup (folded into
-    ``bsat_speedups`` by ``--emit``).
-``solver-micro``
-    The solver micro-benchmarks that used to live in
-    ``benchmarks/bench_solver.py``: plain CDCL solves, hashed BSAT
-    enumeration, and the incremental blocking-clause loop, one ``case``
-    per combination.
 """
 
 from __future__ import annotations
@@ -61,9 +44,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-
-from ..rng import RandomSource
-from ..sat.gf2 import BitMatrix
 
 
 @dataclass(frozen=True)
@@ -96,58 +76,6 @@ def _register(algorithm: BenchAlgorithm) -> BenchAlgorithm:
         raise ValueError(f"benchmark {algorithm.name!r} already registered")
     ALGORITHMS[algorithm.name] = algorithm
     return algorithm
-
-
-# ----------------------------------------------------------------------
-# gf2-elim: the rank-N elimination micro-benchmark.
-# ----------------------------------------------------------------------
-
-def _run_gf2_elim(params: dict) -> dict:
-    rng = RandomSource(int(params["seed"]))
-    n_vars = int(params["vars"])
-    rows = int(params["rows"])
-    repeats = max(1, int(params["repeats"]))
-    density = float(params["density"])
-    # Row generation happens outside the timed region: the micro measures
-    # elimination, not the RNG.  Bit v = variable v, hence the shift.
-    from ..hashing.xor_family import row_word
-
-    drawn = [
-        (row_word(rng, n_vars, density) << 1, rng.bit()) for _ in range(rows)
-    ]
-    best = None
-    rank = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        matrix = BitMatrix(n_vars)
-        matrix.extend(drawn)
-        matrix.reduced_rows()
-        elapsed = time.perf_counter() - start
-        rank = matrix.rank
-        best = elapsed if best is None else min(best, elapsed)
-    return {
-        "wall_s": round(best, 6),
-        "rank": rank,
-        "rows_per_s": round(rows / best, 1) if best > 0 else float("inf"),
-    }
-
-
-_register(
-    BenchAlgorithm(
-        name="gf2-elim",
-        summary="rank-N GF(2) elimination micro (BitMatrix append + RREF)",
-        defaults={
-            "vars": 512,
-            "rows": 500,
-            "density": 0.5,
-            "seed": 2014,
-            "repeats": 3,
-        },
-        key_cols=("vars", "rows", "density", "seed"),
-        metric_cols=("wall_s", "rank", "rows_per_s"),
-        run=_run_gf2_elim,
-    )
-)
 
 
 # ----------------------------------------------------------------------
@@ -221,190 +149,6 @@ _register(
             "bsat_calls",
         ),
         run=_run_unigen_sweep,
-    )
-)
-
-
-# ----------------------------------------------------------------------
-# bsat-sweep: the cell sweep in isolation, fresh solver vs shared session.
-# ----------------------------------------------------------------------
-
-def _run_bsat_sweep(params: dict) -> dict:
-    from ..hashing import HxorFamily
-    from ..sat import SolverSession, bsat
-    from ..suite import registry as suite_registry
-
-    instance = suite_registry.build(params["benchmark"], params["scale"])
-    cnf = instance.cnf
-    svars = sorted(cnf.sampling_set_or_support())
-    family = HxorFamily(svars)
-    window = list(range(int(params["i_lo"]), int(params["i_hi"]) + 1))
-    sweeps = int(params["sweeps"])
-    bound = int(params["bound"])
-    mode = params["mode"]
-    if mode not in ("fresh", "reuse"):
-        raise ValueError(f"bsat-sweep mode must be fresh|reuse, got {mode!r}")
-    # Both modes enumerate the *same* (h, alpha) draws: the constraints are
-    # drawn up front from a dedicated stream, so a fresh/reuse pair at
-    # matching identity measures solver reuse and nothing else.
-    draw_rng = RandomSource(int(params["seed"]))
-    sweeps_xors = [
-        [family.draw(i, draw_rng) for i in window] for _ in range(sweeps)
-    ]
-    best = None
-    cells = models = conflicts = 0
-    for _ in range(max(1, int(params["repeats"]))):
-        cells = models = conflicts = 0
-        start = time.perf_counter()
-        for sweep in sweeps_xors:
-            session = (
-                SolverSession(cnf) if mode == "reuse" else None
-            )
-            for constraint in sweep:
-                if session is not None:
-                    cell = session.bsat(
-                        constraint.xors, bound, sampling_set=svars
-                    )
-                else:
-                    cell = bsat(
-                        cnf.conjoined_with(xors=constraint.xors),
-                        bound,
-                        sampling_set=svars,
-                    )
-                cells += 1
-                models += len(cell.models)
-                conflicts += cell.solver.conflicts if cell.solver else 0
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return {
-        "wall_s": round(best, 4),
-        "cells": cells,
-        "models": models,
-        "conflicts": conflicts,
-        "cells_per_s": round(cells / best, 2) if best > 0 else float("inf"),
-    }
-
-
-_register(
-    BenchAlgorithm(
-        name="bsat-sweep",
-        summary="window cell sweep: fresh-solver vs shared-session BSAT",
-        defaults={
-            "benchmark": "squaring7",
-            "scale": "quick",
-            "mode": "fresh",
-            "i_lo": 3,
-            "i_hi": 6,
-            "bound": 74,
-            "sweeps": 10,
-            "seed": 2014,
-            "repeats": 3,
-        },
-        key_cols=(
-            "benchmark",
-            "scale",
-            "mode",
-            "i_lo",
-            "i_hi",
-            "bound",
-            "sweeps",
-            "seed",
-        ),
-        metric_cols=("wall_s", "cells", "models", "conflicts", "cells_per_s"),
-        run=_run_bsat_sweep,
-    )
-)
-
-
-# ----------------------------------------------------------------------
-# solver-micro: the old benchmarks/bench_solver.py cases, registry-run.
-# ----------------------------------------------------------------------
-
-def _solver_micro_case(case: str, seed: int) -> tuple[Callable[[], int], str]:
-    """Build one micro case; returns (thunk, expectation description)."""
-    from ..cnf import CNF, XorClause, php, random_ksat
-    from ..sat import Solver, bsat
-    from ..suite import build as suite_build
-
-    if case == "random3sat":
-        cnf = random_ksat(60, 240, 3, rng=11)
-
-        def thunk() -> int:
-            result = Solver(cnf, rng=seed).solve()
-            assert result.status == "SAT"
-            return 1
-
-    elif case == "php":
-        cnf = php(6, 5)
-
-        def thunk() -> int:
-            result = Solver(cnf, rng=seed).solve()
-            assert result.status == "UNSAT"
-            return 1
-
-    elif case in ("hashed-gauss", "hashed-nogauss"):
-        rng = RandomSource(7)
-        cnf = random_ksat(40, 100, 3, rng=rng)
-        for _ in range(10):
-            vs = [v for v in range(1, 41) if rng.random() < 0.5]
-            cnf.add_xor(XorClause.from_vars(vs, bool(rng.bit())))
-        gauss = case == "hashed-gauss"
-
-        def thunk() -> int:
-            result = bsat(cnf, 25, gauss=gauss)
-            assert len(result.models) > 0
-            return len(result.models)
-
-    elif case == "suite-bsat":
-        cnf = suite_build("s1238a_7_4", "quick").cnf
-
-        def thunk() -> int:
-            result = bsat(cnf, 30)
-            assert len(result.models) == 30
-            return len(result.models)
-
-    elif case == "blocking":
-        cnf = CNF(12, sampling_set=range(1, 13))
-        cnf.add_clause(list(range(1, 13)))
-
-        def thunk() -> int:
-            solver = Solver(cnf, rng=seed)
-            found = 0
-            for _ in range(100):
-                result = solver.solve()
-                if result.status != "SAT":
-                    break
-                found += 1
-                solver.add_clause(
-                    [-v if result.model[v] else v for v in range(1, 13)]
-                )
-            return found
-
-    else:
-        raise ValueError(f"unknown solver-micro case {case!r}")
-    return thunk, case
-
-
-def _run_solver_micro(params: dict) -> dict:
-    thunk, _ = _solver_micro_case(params["case"], int(params["seed"]))
-    best = None
-    result = 0
-    for _ in range(max(1, int(params["repeats"]))):
-        start = time.perf_counter()
-        result = thunk()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return {"wall_s": round(best, 6), "result": result}
-
-
-_register(
-    BenchAlgorithm(
-        name="solver-micro",
-        summary="CDCL/BSAT micros (ex benchmarks/bench_solver.py)",
-        defaults={"case": "random3sat", "seed": 4, "repeats": 3},
-        key_cols=("case", "seed"),
-        metric_cols=("wall_s", "result"),
-        run=_run_solver_micro,
     )
 )
 
@@ -545,42 +289,12 @@ def run_config(
 # Trajectory artifact (BENCH_*.json).
 # ----------------------------------------------------------------------
 
-def _pair_bsat_speedups(points: list[dict]) -> list[dict]:
-    """fresh-vs-reuse pairs among bsat-sweep points with matching identity."""
-    algorithm = ALGORITHMS["bsat-sweep"]
-    identity_cols = tuple(k for k in algorithm.key_cols if k != "mode")
-    by_identity: dict[tuple, dict[str, dict]] = {}
-    for point in points:
-        if point.get("algorithm") != "bsat-sweep":
-            continue
-        identity = tuple(point[k] for k in identity_cols)
-        by_identity.setdefault(identity, {})[point["mode"]] = point
-    pairs = []
-    for identity, sides in sorted(by_identity.items(), key=str):
-        if "fresh" not in sides or "reuse" not in sides:
-            continue
-        fresh, reuse = sides["fresh"]["wall_s"], sides["reuse"]["wall_s"]
-        pair = dict(zip(identity_cols, identity))
-        pair.update(
-            {
-                "fresh_wall_s": fresh,
-                "reuse_wall_s": reuse,
-                "models": sides["fresh"]["models"],
-                "speedup": round(fresh / reuse, 2) if reuse > 0 else float("inf"),
-            }
-        )
-        pairs.append(pair)
-    return pairs
-
-
 def emit_trajectory(
     rows: list[BenchRow], path: str | Path, config_path: str | None = None
 ) -> dict:
     """Write the run's fresh points as one ``BENCH_*.json`` artifact.
 
-    Skipped (already-measured) combinations are counted but not re-listed;
-    bsat-sweep fresh/reuse pairs are folded into ``bsat_speedups``, so the
-    headline ratio is recomputed from the measured points every time.
+    Skipped (already-measured) combinations are counted but not re-listed.
     """
     points = [row.as_point() for row in rows if not row.skipped]
     artifact = {
@@ -589,7 +303,6 @@ def emit_trajectory(
         "config": config_path,
         "points": points,
         "skipped_existing": sum(1 for row in rows if row.skipped),
-        "bsat_speedups": _pair_bsat_speedups(points),
     }
     Path(path).write_text(json.dumps(artifact, indent=2) + "\n")
     return artifact

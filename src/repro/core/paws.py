@@ -32,7 +32,7 @@ from ..counting.approxmc import ApproxMC
 from ..errors import BudgetExhausted, SamplingError
 from ..hashing import HxorFamily
 from ..rng import RandomSource, as_random_source
-from ..sat.enumerate import bsat
+from ..sat.enumerate import SolverSession
 from ..sat.types import Budget
 from .base import Witness, WitnessSampler
 
@@ -112,9 +112,8 @@ class PawsStyle(WitnessSampler):
         self.prepare()
         assert self._m is not None and self._family is not None
         constraint = self._family.draw(self._m, self._rng)
-        hashed = self.cnf.conjoined_with(xors=constraint.xors)
-        cell = bsat(
-            hashed,
+        cell = SolverSession(self.cnf).bsat(
+            constraint.xors,
             self.bucket + 1,
             sampling_set=self._hvars,
             budget=self._bsat_budget,

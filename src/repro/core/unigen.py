@@ -44,7 +44,7 @@ from ..counting.types import CountResult
 from ..errors import BudgetExhausted, SamplingError, UnsatisfiableError
 from ..hashing import HxorFamily
 from ..rng import RandomSource, as_random_source
-from ..sat.enumerate import bsat
+from ..sat.enumerate import SolverSession
 from ..sat.types import Budget
 from .base import Witness, WitnessSampler
 from .cellsearch import AcceptedCell, CellSearch
@@ -226,8 +226,8 @@ class UniGen(WitnessSampler):
 
     def _prepare_inner(self) -> None:
         hi = self.kp.hi_thresh
-        first = bsat(
-            self.cnf,
+        first = SolverSession(self.cnf).bsat(
+            (),
             hi + 1,
             sampling_set=self._svars,
             budget=self._bsat_budget,

@@ -29,7 +29,7 @@ from ..cnf.formula import CNF
 from ..errors import BudgetExhausted, UnsatisfiableError
 from ..hashing import HxorFamily
 from ..rng import RandomSource, as_random_source
-from ..sat.enumerate import bsat
+from ..sat.enumerate import SolverSession
 from ..sat.types import Budget
 from .base import Witness, WitnessSampler
 
@@ -75,8 +75,8 @@ class UniWit(WitnessSampler):
         pivot = self.pivot
         # Easy case: |R_F| <= pivot — re-checked every sample (no caching in
         # UniWit; that is the point of the comparison).
-        first = bsat(
-            self.cnf,
+        first = SolverSession(self.cnf).bsat(
+            (),
             pivot + 1,
             sampling_set=self._hvars,  # blocking over the full set
             budget=self._bsat_budget,
@@ -100,9 +100,8 @@ class UniWit(WitnessSampler):
             retries = 0
             while True:
                 constraint = self._family.draw(i, self._rng)
-                hashed = self.cnf.conjoined_with(xors=constraint.xors)
-                cell = bsat(
-                    hashed,
+                cell = SolverSession(self.cnf).bsat(
+                    constraint.xors,
                     pivot + 1,
                     sampling_set=self._hvars,
                     budget=self._bsat_budget,

@@ -18,7 +18,7 @@ from ..cnf.formula import CNF
 from ..errors import BudgetExhausted
 from ..hashing import HxorFamily
 from ..rng import RandomSource, as_random_source
-from ..sat.enumerate import bsat
+from ..sat.enumerate import SolverSession
 from ..sat.types import Budget
 from .base import Witness, WitnessSampler
 
@@ -60,9 +60,8 @@ class XorSamplePrime(WitnessSampler):
         if self._family is None:
             return None
         constraint = self._family.draw(self.s, self._rng)
-        hashed = self.cnf.conjoined_with(xors=constraint.xors)
-        cell = bsat(
-            hashed,
+        cell = SolverSession(self.cnf).bsat(
+            constraint.xors,
             self.max_cell + 1,
             sampling_set=self._hvars,
             budget=self._bsat_budget,

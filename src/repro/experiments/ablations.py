@@ -130,7 +130,8 @@ def ablation_blocking(
     )
     for label, full in (("block over S", False), ("block over X", True)):
         start = time.monotonic()
-        out = bsat(instance.cnf, bound, block_full_support=full)
+        svars = range(1, instance.num_vars + 1) if full else None
+        out = bsat(instance.cnf, bound, sampling_set=svars)
         elapsed = time.monotonic() - start
         width = instance.num_vars if full else len(instance.sampling_set)
         result.rows.append([label, len(out.models), elapsed, width])

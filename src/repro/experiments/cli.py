@@ -17,11 +17,10 @@ the sampling lifecycle as a tool:
   built-in self-check CI exercises (``--smoke --jobs 2`` adds the pool
   leg);
 * ``repro bench --config sweep.json`` — the config-driven benchmark
-  runner: registered micro/end-to-end benchmarks swept over parameter
+  runner: registered end-to-end benchmarks swept over parameter
   grids (``unigen-sweep`` measures throughput across sampler × jobs ×
   window), CSVs with skip-existing, ``--emit BENCH_innerloop.json`` folds
-  the measured points and fresh-vs-session BSAT pairs into a trajectory
-  artifact;
+  the measured points into a trajectory artifact;
 * ``repro broker SPOOL FILE.cnf`` — submit a sampling job to a spool-
   directory chunk queue and wait for ``repro worker`` processes to drain
   it (``--workers N`` also spawns local ones); expired leases are retried
@@ -261,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV output directory (default: the config's"
                         " out_dir, else benchmarks/out)")
     p.add_argument("--emit", metavar="BENCH_JSON", default=None,
-                   help="also fold this run's measured points (plus"
-                        " bsat-sweep fresh-vs-session speedup pairs) into"
-                        " one trajectory artifact")
+                   help="also fold this run's measured points into one"
+                        " trajectory artifact")
     p.add_argument("--no-skip-existing", action="store_true",
                    help="re-measure combinations already present in the"
                         " CSVs instead of skipping them")
@@ -1259,12 +1257,6 @@ def main(argv: list[str] | None = None) -> int:
               f"(config={args.config})", file=sys.stderr)
         if args.emit:
             artifact = emit_trajectory(rows, args.emit, args.config)
-            for pair in artifact["bsat_speedups"]:
-                print(f"c bsat-sweep {pair['benchmark']}/{pair['scale']} "
-                      f"i={pair['i_lo']}..{pair['i_hi']}: fresh "
-                      f"{pair['fresh_wall_s']}s / reuse "
-                      f"{pair['reuse_wall_s']}s = {pair['speedup']}x",
-                      file=sys.stderr)
             print(f"c wrote {args.emit} ({len(artifact['points'])} points)",
                   file=sys.stderr)
         return 0

@@ -32,10 +32,10 @@ sweep, and the move from the pure-Python search to the native core
 only a call cut short by its budget (UNKNOWN) may stop at a different
 point on each.
 
-Two entry points share the enumeration loop: :func:`bsat`, a one-shot
-call on a fresh solver (the baselines and the reference the session
-tests compare against), and :meth:`SolverSession.bsat`, which UniGen's
-cell search and ApproxMC use for every cell.
+Every enumeration runs on a :class:`SolverSession`.  UniGen's cell search
+and ApproxMC keep one session across the BSAT calls of a sweep or a count;
+the baselines and :func:`bsat`, the paper's one-shot ``BSAT(F, N)``, open
+a fresh session per call.
 """
 
 from __future__ import annotations
@@ -52,160 +52,6 @@ from .types import SAT, UNKNOWN, UNSAT, Budget, EnumerationResult, SolverStats
 #: Seed of every enumeration solver's tie-breaking stream.  A constant, so
 #: the solver never consumes a sampler's random stream.
 _SOLVER_SEED = 0
-
-
-def gauss_reduce_xors(cnf: CNF) -> CNF | None:
-    """Replace the XOR clauses of ``cnf`` with their reduced row-echelon form.
-
-    Row reduction over GF(2) preserves the solution set exactly, so every
-    guarantee downstream is untouched — but it transforms the random dense
-    rows drawn from ``Hxor`` into rows with distinct pivot variables, which
-    restores efficient unit propagation (this is the role Gauss–Jordan
-    elimination plays inside CryptoMiniSAT, Section 4 "Implementation
-    issues").  Returns ``None`` when the XOR system alone is inconsistent
-    (the formula is UNSAT), else a new :class:`CNF`.
-    """
-    if not cnf.xor_clauses:
-        return cnf
-    reduced = gaussian_eliminate(cnf.xor_clauses, cnf.num_vars)
-    if reduced.inconsistent:
-        return None
-    out = CNF(cnf.num_vars, name=cnf.name)
-    out.clauses = list(cnf.clauses)
-    out.sampling_set = cnf.sampling_set
-    for xor in rows_as_xors(reduced.rows):
-        out.add_xor(xor)
-    return out
-
-
-def bsat(
-    cnf: CNF,
-    bound: int,
-    sampling_set: Sequence[int] | None = None,
-    budget: Budget | None = None,
-    block_full_support: bool = False,
-    gauss: bool = True,
-) -> EnumerationResult:
-    """Enumerate up to ``bound`` witnesses of ``cnf`` distinct on ``S``.
-
-    Parameters
-    ----------
-    cnf:
-        The formula (clauses + native XOR clauses allowed).
-    bound:
-        Maximum number of witnesses to return (``N`` in the paper).
-    sampling_set:
-        The set ``S``; defaults to ``cnf.sampling_set`` or, failing that, the
-        full syntactic support.
-    budget:
-        Total budget for the whole enumeration: ``timeout_seconds`` is a
-        wall-clock deadline for the entire BSAT call (the paper's 2,500 s
-        limit), ``max_conflicts`` a total conflict allowance.
-    block_full_support:
-        If True, blocking clauses mention every variable (the un-optimized
-        behaviour UniWit is stuck with); used by the A3 ablation.
-    gauss:
-        If True (default), Gauss-reduce the XOR system before solving — the
-        CryptoMiniSAT behaviour.  Solution-set preserving; disable only for
-        the solver ablation benchmarks.
-    """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    budget = budget or Budget()
-    if sampling_set is None:
-        svars: list[int] = list(cnf.sampling_set_or_support())
-    else:
-        svars = sorted(set(sampling_set))
-    if block_full_support:
-        svars = list(range(1, cnf.num_vars + 1))
-
-    result = EnumerationResult()
-    if bound == 0:
-        return result
-    if gauss:
-        reduced = gauss_reduce_xors(cnf)
-        if reduced is None:
-            result.complete = True
-            result.solver = SolverStats()
-            return result
-        cnf = reduced
-    solver = Solver(cnf, rng=_SOLVER_SEED)
-    return _enumerate(solver, bound, svars, budget, cnf.num_vars)
-
-
-def _enumerate(
-    solver: Solver,
-    bound: int,
-    svars: Sequence[int],
-    budget: Budget,
-    num_vars: int,
-    assumptions: Sequence[int] = (),
-    tag=None,
-) -> EnumerationResult:
-    """The blocking-clause enumeration loop of both entry points.
-
-    :func:`bsat` passes no group; a session passes the ``assumptions`` and
-    ``tag`` of the call's constraint group, so the search runs under the
-    group's assumptions and each blocking clause carries the group's guard
-    literal.  Either way :meth:`Solver.block_model` blocks a model at its
-    asserting level and the next ``solve()`` resumes from there.  Models
-    are cut to the first ``num_vars`` variables so session auxiliaries
-    never leak into witnesses.  ``result.solver`` carries the
-    solver-counter deltas this call spent, whichever exit is taken, and
-    ``result.models`` comes back sorted by the models' values on
-    ``svars`` (ascending, False < True).
-    """
-    deadline = (
-        time.monotonic() + budget.timeout_seconds
-        if budget.timeout_seconds is not None
-        else None
-    )
-    conflicts_left = budget.max_conflicts
-    result = EnumerationResult()
-    before = solver.stats.snapshot()
-    try:
-        while True:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    # Deadline fully elapsed: report exhaustion now rather
-                    # than issuing one more solve() with a zero timeout.
-                    result.budget_exhausted = True
-                    return result
-            else:
-                remaining = None
-            call_budget = Budget(
-                max_conflicts=conflicts_left,
-                timeout_seconds=remaining,
-            )
-            res = solver.solve(assumptions, call_budget, model_vars=num_vars)
-            if conflicts_left is not None:
-                conflicts_left = max(conflicts_left - res.conflicts, 0)
-            if res.status == UNKNOWN:
-                result.budget_exhausted = True
-                return result
-            if res.status == UNSAT:
-                result.complete = True
-                return result
-            assert res.status == SAT and res.model is not None
-            result.models.append(res.model)
-            if len(result.models) == bound:
-                # Stopped at the bound: whether a further witness exists
-                # is unknown, so the result is never complete here.
-                return result
-            if not svars:
-                # Empty projection space: one point only.
-                result.complete = True
-                return result
-            if not solver.block_model(svars, tag):
-                result.complete = True
-                return result
-            if conflicts_left is not None and conflicts_left == 0:
-                result.budget_exhausted = True
-                return result
-    finally:
-        result.models.sort(key=lambda m: [m[v] for v in svars])
-        result.solver = solver.stats.since(before)
 
 
 class SolverSession:
@@ -259,15 +105,27 @@ class SolverSession:
         sampling_set: Sequence[int] | None = None,
         budget: Budget | None = None,
     ) -> EnumerationResult:
-        """Enumerate up to ``bound`` witnesses of base ∧ ``xors``.
+        """Enumerate up to ``bound`` witnesses of base ∧ ``xors`` distinct on S.
 
-        Same contract as :func:`bsat`, but the hash rows come in as a
-        group on the shared solver instead of a fresh conjoined formula.
-        The rows are Gauss-reduced standalone before grouping.
+        ``sampling_set`` is S; it defaults to the base formula's sampling
+        set or, failing that, its full syntactic support.  ``budget``
+        covers the whole call: ``timeout_seconds`` is a wall-clock deadline
+        for the entire enumeration (the paper's 2,500 s limit),
+        ``max_conflicts`` a total conflict allowance.
+
+        The rows are Gauss-reduced standalone and installed as a group on
+        the shared solver.  The search runs under the group's assumptions,
+        each blocking clause carries the group's guard literal, and
+        :meth:`Solver.block_model` blocks a model at its asserting level so
+        the next ``solve()`` resumes from there; the group is released on
+        the way out.  Models are cut to the base formula's variables so
+        session auxiliaries never leak into witnesses.  ``result.solver``
+        carries the solver-counter deltas this call spent, and
+        ``result.models`` comes back sorted by the models' values on S
+        (ascending, False < True).
         """
         if bound < 0:
             raise ValueError("bound must be non-negative")
-        budget = budget or Budget()
         if sampling_set is None:
             svars = list(self._default_svars)
         else:
@@ -283,19 +141,60 @@ class SolverSession:
                 result.solver = SolverStats()
                 return result
             rows = list(rows_as_xors(reduced.rows))
-        sliced = self._slice(budget)
+        sliced = self._slice(budget or Budget())
+        deadline = (
+            time.monotonic() + sliced.timeout_seconds
+            if sliced.timeout_seconds is not None
+            else None
+        )
+        conflicts_left = sliced.max_conflicts
         tag = self._next_tag
         self._next_tag += 1
         solver = self._solver
         assumptions = solver.add_xor_group(rows, tag)
+        before = solver.stats.snapshot()
         try:
-            result = _enumerate(
-                solver, bound, svars, sliced, self._num_vars,
-                assumptions=assumptions, tag=tag,
-            )
+            while True:
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0.0:
+                        # Deadline fully elapsed: report exhaustion now
+                        # rather than solve once more with a zero timeout.
+                        result.budget_exhausted = True
+                        break
+                res = solver.solve(
+                    assumptions,
+                    Budget(max_conflicts=conflicts_left,
+                           timeout_seconds=remaining),
+                    model_vars=self._num_vars,
+                )
+                if conflicts_left is not None:
+                    conflicts_left = max(conflicts_left - res.conflicts, 0)
+                if res.status == UNKNOWN:
+                    result.budget_exhausted = True
+                    break
+                if res.status == UNSAT:
+                    result.complete = True
+                    break
+                assert res.status == SAT and res.model is not None
+                result.models.append(res.model)
+                if len(result.models) == bound:
+                    # Stopped at the bound: whether a further witness
+                    # exists is unknown, so the result is never complete.
+                    break
+                # An empty S has one point only.
+                if not svars or not solver.block_model(svars, tag):
+                    result.complete = True
+                    break
+                if conflicts_left == 0:
+                    result.budget_exhausted = True
+                    break
+            result.models.sort(key=lambda m: [m[v] for v in svars])
+            result.solver = solver.stats.since(before)
         finally:
             solver.release_group(tag)
-        if self._conflicts_left is not None and result.solver is not None:
+        if self._conflicts_left is not None:
             self._conflicts_left = max(
                 self._conflicts_left - result.solver.conflicts, 0
             )
@@ -317,6 +216,22 @@ class SolverSession:
         return Budget(max_conflicts=max_conflicts, timeout_seconds=timeout)
 
 
+def bsat(
+    cnf: CNF,
+    bound: int,
+    sampling_set: Sequence[int] | None = None,
+    budget: Budget | None = None,
+) -> EnumerationResult:
+    """``BSAT(F, N)``: up to ``bound`` witnesses of ``cnf`` distinct on S.
+
+    One call on a fresh :class:`SolverSession`; see
+    :meth:`SolverSession.bsat` for ``sampling_set`` and ``budget``.
+    """
+    return SolverSession(cnf).bsat(
+        (), bound, sampling_set=sampling_set, budget=budget
+    )
+
+
 def enumerate_all(
     cnf: CNF,
     sampling_set: Sequence[int] | None = None,
@@ -328,7 +243,7 @@ def enumerate_all(
     this is a test/fixture helper, not a production counter (use
     :mod:`repro.counting` for that).
     """
-    result = bsat(cnf, limit + 1, sampling_set=sampling_set)
+    result = SolverSession(cnf).bsat((), limit + 1, sampling_set=sampling_set)
     if not result.complete:
         raise RuntimeError(f"formula has more than {limit} witnesses")
     return result.models

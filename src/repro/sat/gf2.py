@@ -11,9 +11,7 @@ by row, so a caller growing an XOR system reuses all previously eliminated
 state instead of re-reducing from scratch.
 
 Back-substitution touches only rows that actually contain the pivot being
-cleared, via pivot-column hit masks, instead of an O(p²) all-pairs scan
-(see ``benchmarks/configs/innerloop.json``'s rank-500 micro, which keeps
-that from regressing).
+cleared, via pivot-column hit masks, instead of an O(p²) all-pairs scan.
 """
 
 from __future__ import annotations

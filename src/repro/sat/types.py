@@ -102,7 +102,7 @@ class Budget:
 
 @dataclass
 class EnumerationResult:
-    """Outcome of :func:`repro.sat.enumerate.bsat`.
+    """Outcome of one BSAT call, :meth:`repro.sat.SolverSession.bsat`.
 
     ``models``
         Distinct witnesses found (full models, ``var -> bool``).

@@ -1,8 +1,9 @@
 """Tests for the config-driven benchmark runner (``repro.bench``).
 
-Exercises the registry/config/CSV machinery with tiny gf2-elim sweeps so
-the suite stays fast; the real measurement configs live under
-``benchmarks/configs/`` and are driven by ``repro bench`` / CI.
+Exercises the registry/config/CSV machinery with a tiny fake algorithm
+put into the registry, so the suite stays fast; the real measurement
+configs live under ``benchmarks/configs/`` and are driven by
+``repro bench`` / CI.
 """
 
 import csv
@@ -13,6 +14,7 @@ import pytest
 
 from repro.bench.runner import (
     ALGORITHMS,
+    BenchAlgorithm,
     BenchRow,
     emit_trajectory,
     iter_param_grid,
@@ -20,10 +22,25 @@ from repro.bench.runner import (
     run_config,
 )
 
-TINY = {"vars": [16], "rows": [8], "repeats": [1]}
-SMOKE_CONFIG = (
-    Path(__file__).resolve().parents[1] / "benchmarks/configs/smoke.json"
+ROOT = Path(__file__).resolve().parents[1]
+SMOKE_CONFIG = ROOT / "benchmarks/configs/smoke.json"
+
+#: A fake benchmark: ``total`` is a pure function of its parameters.
+FAKE = BenchAlgorithm(
+    name="fake",
+    summary="sum of two parameters",
+    defaults={"a": 1, "b": 2, "seed": 0},
+    key_cols=("a", "b"),
+    metric_cols=("wall_s", "total"),
+    run=lambda params: {"wall_s": 0.001, "total": params["a"] + params["b"]},
 )
+TINY = {"a": [16], "b": [8]}
+
+
+@pytest.fixture
+def fake(monkeypatch):
+    monkeypatch.setitem(ALGORITHMS, FAKE.name, FAKE)
+    return FAKE
 
 
 def write_config(tmp_path, data):
@@ -34,12 +51,10 @@ def write_config(tmp_path, data):
 
 class TestRegistry:
     def test_expected_algorithms_registered(self):
-        assert {
-            "gf2-elim", "unigen-sweep", "bsat-sweep", "solver-micro"
-        } <= set(ALGORITHMS)
+        assert set(ALGORITHMS) == {"unigen-sweep"}
 
     def test_columns_are_defaults_plus_metrics(self):
-        algorithm = ALGORITHMS["gf2-elim"]
+        algorithm = ALGORITHMS["unigen-sweep"]
         assert algorithm.columns == list(algorithm.defaults) + list(
             algorithm.metric_cols
         )
@@ -57,23 +72,23 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="unknown benchmark 'nope'"):
             load_config(path)
 
-    def test_unknown_parameter_rejected(self, tmp_path):
+    def test_unknown_parameter_rejected(self, tmp_path, fake):
         path = write_config(
             tmp_path,
-            {"algorithms": [{"name": "gf2-elim", "parameters": {"cols": [1]}}]},
+            {"algorithms": [{"name": "fake", "parameters": {"cols": [1]}}]},
         )
         with pytest.raises(ValueError, match="no parameters \\['cols'\\]"):
             load_config(path)
 
-    def test_valid_config_roundtrips(self, tmp_path):
-        data = {"algorithms": [{"name": "gf2-elim", "parameters": TINY}]}
+    def test_valid_config_roundtrips(self, tmp_path, fake):
+        data = {"algorithms": [{"name": "fake", "parameters": TINY}]}
         assert load_config(write_config(tmp_path, data)) == data
 
-    def test_unknown_requirement_rejected(self, tmp_path):
+    def test_unknown_requirement_rejected(self, tmp_path, fake):
         """Blocks cannot be gated on requirements: a block that names one
         fails to load instead of running unconditionally."""
         path = write_config(tmp_path, {"algorithms": [
-            {"name": "gf2-elim", "parameters": dict(TINY),
+            {"name": "fake", "parameters": dict(TINY),
              "requires": ["cuda"]},
         ]})
         with pytest.raises(ValueError, match="unknown keys \\['requires'\\]"):
@@ -94,28 +109,27 @@ class TestParamGrid:
         assert all(g["c"] == 9 for g in grid)
 
 
+@pytest.mark.usefixtures("fake")
 class TestRunConfig:
     def config(self):
-        return {
-            "algorithms": [{"name": "gf2-elim", "parameters": dict(TINY)}]
-        }
+        return {"algorithms": [{"name": "fake", "parameters": dict(TINY)}]}
 
     def test_csv_written_with_header_and_metrics(self, tmp_path):
         rows = run_config(self.config(), out_dir=tmp_path)
         assert len(rows) == 1 and not rows[0].skipped
-        assert rows[0].metrics["rank"] <= 8
-        with (tmp_path / "gf2-elim.csv").open(newline="") as fh:
+        assert rows[0].metrics["total"] == 24
+        with (tmp_path / "fake.csv").open(newline="") as fh:
             records = list(csv.DictReader(fh))
         assert len(records) == 1
-        assert records[0]["vars"] == "16"
-        assert float(records[0]["wall_s"]) >= 0.0
+        assert records[0]["a"] == "16"
+        assert records[0]["total"] == "24"
 
     def test_skip_existing_second_run(self, tmp_path):
         run_config(self.config(), out_dir=tmp_path)
         rows = run_config(self.config(), out_dir=tmp_path)
         assert [row.skipped for row in rows] == [True]
         # The CSV was not appended to.
-        with (tmp_path / "gf2-elim.csv").open(newline="") as fh:
+        with (tmp_path / "fake.csv").open(newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 1
 
     def test_skip_existing_override_remeasures(self, tmp_path):
@@ -124,9 +138,8 @@ class TestRunConfig:
             self.config(), out_dir=tmp_path, skip_existing_override=False
         )
         assert not rows[0].skipped
-        with (tmp_path / "gf2-elim.csv").open(newline="") as fh:
+        with (tmp_path / "fake.csv").open(newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
-
 
 
 class TestSmokeConfig:
@@ -142,8 +155,10 @@ class TestSmokeConfig:
             for block in config["algorithms"]
         }
 
-    def test_smoke_sweep_has_six_points(self):
-        assert sum(len(grid) for grid in self.grids().values()) == 6
+    def test_smoke_sweep_is_the_unigen_sweep_pair(self):
+        grids = self.grids()
+        assert list(grids) == ["unigen-sweep"]
+        assert len(grids["unigen-sweep"]) == 2
 
     def test_unigen_sweep_runs_the_pool_branch(self):
         grid = self.grids()["unigen-sweep"]
@@ -159,86 +174,45 @@ class TestSmokeConfig:
 
 
 class TestEmitTrajectory:
-    def gf2_point(self, wall_s):
-        return BenchRow(
-            "gf2-elim", dict(ALGORITHMS["gf2-elim"].defaults),
-            {"wall_s": wall_s, "rank": 500, "rows_per_s": 1.0},
-        )
+    def point(self, total):
+        return BenchRow("fake", dict(FAKE.defaults),
+                        {"wall_s": 0.4, "total": total})
 
-    def test_unpaired_points_yield_no_speedup(self, tmp_path):
-        rows = [self.gf2_point(0.4), self.bsat_point("fresh", 0.9)]
+    def test_points_round_trip_through_the_file(self, tmp_path):
+        rows = [self.point(3), self.point(4)]
         artifact = emit_trajectory(rows, tmp_path / "BENCH.json", "cfg.json")
-        assert len(artifact["points"]) == 2
-        assert artifact["bsat_speedups"] == []
-        # The artifact on disk parses back to the same structure.
+        assert [p["total"] for p in artifact["points"]] == [3, 4]
+        assert artifact["points"][0]["algorithm"] == "fake"
+        assert artifact["config"] == "cfg.json"
         assert json.loads((tmp_path / "BENCH.json").read_text()) == artifact
 
     def test_skipped_rows_counted_not_listed(self, tmp_path):
-        rows = [
-            self.gf2_point(0.4),
-            BenchRow("gf2-elim", {}, {}, skipped=True),
-        ]
+        rows = [self.point(3), BenchRow("fake", {}, {}, skipped=True)]
         artifact = emit_trajectory(rows, tmp_path / "BENCH.json")
         assert artifact["skipped_existing"] == 1
         assert len(artifact["points"]) == 1
 
-    def bsat_point(self, mode, wall_s, **overrides):
-        params = dict(ALGORITHMS["bsat-sweep"].defaults)
-        params["mode"] = mode
-        params.update(overrides)
-        return BenchRow(
-            "bsat-sweep",
-            params,
-            {"wall_s": wall_s, "cells": 40, "models": 120,
-             "conflicts": 999, "cells_per_s": 1.0},
-        )
-
-    def test_bsat_speedups_pair_fresh_with_reuse(self, tmp_path):
-        rows = [self.bsat_point("fresh", 0.9), self.bsat_point("reuse", 0.6)]
-        artifact = emit_trajectory(rows, tmp_path / "BENCH.json")
-        (pair,) = artifact["bsat_speedups"]
-        assert pair["speedup"] == 1.5
-        assert pair["fresh_wall_s"] == 0.9
-        assert pair["reuse_wall_s"] == 0.6
-        assert pair["models"] == 120
-        assert pair["benchmark"] == "squaring7"
-
-    def test_bsat_pairs_require_matching_identity(self, tmp_path):
-        rows = [
-            self.bsat_point("fresh", 0.9),
-            self.bsat_point("reuse", 0.6, seed=999),  # different identity
-        ]
-        artifact = emit_trajectory(rows, tmp_path / "BENCH.json")
-        assert artifact["bsat_speedups"] == []
-
 
 class TestCommittedArtifact:
-    """The committed BENCH_innerloop.json must carry the measured rank-500
-    elimination points the back-substitution fix is gated on, and the
-    fresh-vs-session BSAT pairs."""
+    """The committed BENCH_innerloop.json is a ``repro bench`` run of
+    ``benchmarks/configs/innerloop.json``: a ``unigen-sweep`` pair at
+    jobs 1 and 2, one plan on two backends, so the same draws."""
+
+    def artifact(self):
+        return json.loads((ROOT / "BENCH_innerloop.json").read_text())
 
     def test_artifact_shape_and_headline(self):
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "BENCH_innerloop.json"
-        artifact = json.loads(path.read_text())
+        artifact = self.artifact()
         assert artifact["bench"] == "innerloop"
+        assert artifact["config"] == "benchmarks/configs/innerloop.json"
         assert artifact["points"], "artifact must contain measured points"
-        rank500 = [
-            point for point in artifact["points"]
-            if point["algorithm"] == "gf2-elim" and point["rank"] >= 500
-        ]
-        assert rank500, "artifact must contain rank-500 gf2-elim points"
-        assert all(point["wall_s"] > 0 for point in rank500)
-        assert "speedups" not in artifact
+        assert {p["algorithm"] for p in artifact["points"]} == {"unigen-sweep"}
+        assert all(p["wall_s"] > 0 for p in artifact["points"])
 
-    def test_artifact_carries_the_solver_reuse_headline(self):
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "BENCH_innerloop.json"
-        artifact = json.loads(path.read_text())
-        pairs = artifact["bsat_speedups"]
-        assert pairs, "artifact must contain bsat-sweep fresh/reuse pairs"
-        for pair in pairs:
-            assert pair["fresh_wall_s"] > 0 and pair["reuse_wall_s"] > 0
-        assert max(pair["speedup"] for pair in pairs) >= 1.3
+    def test_unigen_sweep_jobs_pair_draws_the_same_stream(self):
+        sweep = self.artifact()["points"]
+        assert sorted(p["jobs"] for p in sweep) == [1, 2]
+        assert all(p["witnesses"] == p["n"] for p in sweep)
+        serial, pooled = sorted(sweep, key=lambda p: p["jobs"])
+        assert serial["witnesses"] == pooled["witnesses"]
+        assert serial["bsat_calls"] == pooled["bsat_calls"]

@@ -6,7 +6,6 @@ from repro.cnf import CNF, XorClause, exactly_k_solutions_formula, random_ksat
 from repro.rng import RandomSource
 from repro.sat import Budget, Solver, SolverSession, bsat, enumerate_all, projections
 from repro.sat.brute import all_models, count_projected, model_set
-from repro.sat.enumerate import gauss_reduce_xors
 from repro.sat.pysolver import PySolver
 
 
@@ -76,7 +75,7 @@ class TestProjection:
         cnf = CNF(3, clauses=[[1]])
         cnf.sampling_set = [1]
         restricted = bsat(cnf, 100)
-        full = bsat(cnf, 100, block_full_support=True)
+        full = bsat(cnf, 100, sampling_set=range(1, 4))
         assert len(restricted.models) == 1  # one projection on {1}
         assert len(full.models) == 4  # all (v2, v3) combinations
 
@@ -126,35 +125,41 @@ class TestBudget:
 
 
 class TestGaussReduction:
+    """A session Gauss-reduces each call's rows before it installs them."""
+
     core = Solver
 
     def test_reduction_preserves_models(self):
         rng = RandomSource(4)
-        cnf = random_ksat(7, 10, 3, rng=rng)
+        base = random_ksat(7, 10, 3, rng=rng)
+        rows = []
         for _ in range(3):
             vs = [v for v in range(1, 8) if rng.random() < 0.5]
             if vs:
-                cnf.add_xor(XorClause.from_vars(vs, bool(rng.bit())))
-        with_gauss = bsat(cnf, 500, gauss=True)
-        without = bsat(cnf, 500, gauss=False)
-        key = lambda ms: {
-            tuple(v if m[v] else -v for v in range(1, 8)) for m in ms
-        }
-        assert key(with_gauss.models) == key(without.models)
+                rows.append(XorClause.from_vars(vs, bool(rng.bit())))
+        result = SolverSession(base).bsat(rows, 500)
+        assert result.complete
+        got = {tuple(v if m[v] else -v for v in range(1, 8))
+               for m in result.models}
+        assert got == model_set(base.conjoined_with(xors=rows))
 
     def test_inconsistent_xor_system_short_circuits(self):
         cnf = CNF(2)
         cnf.add_xor(XorClause((1, 2), True))
         cnf.add_xor(XorClause((1, 2), False))
-        reduced = gauss_reduce_xors(cnf)
-        assert reduced is None
         result = bsat(cnf, 10)
         assert result.complete
         assert len(result.models) == 0
 
-    def test_plain_cnf_passthrough(self):
+    def test_plain_cnf_passthrough(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("no rows to eliminate")
+
+        monkeypatch.setattr(
+            "repro.sat.enumerate.gaussian_eliminate", never
+        )
         cnf = CNF(2, clauses=[[1, 2]])
-        assert gauss_reduce_xors(cnf) is cnf
+        assert len(bsat(cnf, 10, sampling_set=[1, 2]).models) == 3
 
 
 class TestCompleteAtBound:
